@@ -21,7 +21,7 @@ from .data import (
 )
 from .errors import ConfigError, DataFormatError, LidsnError, NumericError, ShapeError
 from .gradcheck import grad_check
-from .network import ForwardTrace, Model, forward, saliency
+from .network import Model, forward, saliency
 from .params import (
     ParamSet,
     count_flops,
@@ -57,7 +57,6 @@ __all__ = [
     "DEFAULT_BANDS",
     "DataFormatError",
     "EpochSet",
-    "ForwardTrace",
     "FUSION_MODES",
     "INTEGRATION_MODES",
     "LidsnError",

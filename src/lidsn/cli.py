@@ -15,16 +15,14 @@ import argparse
 import json
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from . import tensor as tz
 from .config import ModelConfig, model_config_from_dict
 from .data import (
-    EpochSet,
+    PROTOCOLS,
     SynthSpec,
     euclidean_align,
     load_epochs,
@@ -36,19 +34,20 @@ from .data import (
 )
 from .errors import ConfigError, DataFormatError, LidsnError, NumericError, ShapeError
 from .gradcheck import clear_input_draw, grad_check
-from .network import ForwardTrace, Model, saliency
+from .network import Model, saliency
 from .params import count_params_flops, load_snapshot, save_snapshot
 from .rng import RngStream
 from .tensor import BatchNormState, Tensor
 from .training import (
     TrainConfig,
-    run_fold,
-    thread_budget,
+    evaluate_model,
+    run_protocol,
     train_config_from_dict,
     weighted_cross_entropy,
 )
 from .viz import format_cell, matrix_csv, save_heatmap, write_csv
 
+_VIZ_STEMS = {"affinity": "sacm", "attention": "tcam", "importance": "omega"}
 _FEATURE_KEYS = ("outer_window_s", "outer_overlap", "inner_window_s", "inner_overlap")
 
 
@@ -105,8 +104,8 @@ def resolve_run_config(raw: dict, n_channels: int, n_samples: int, n_classes: in
     )
     train = train_config_from_dict(_expect(raw.get("train", {}), dict, "train"))
     protocol = _expect(raw.get("protocol", "CO"), str, "protocol")
-    if protocol not in ("CO", "CV", "LOSO"):
-        raise ConfigError(f"protocol must be CO, CV, or LOSO, got {protocol!r}")
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     align = _expect(raw.get("align", False), bool, "align")
     features = _expect(raw.get("features", False), bool, "features")
     feature_args = parse_feature_args(_expect(raw.get("feature_args", {}), dict, "feature_args"))
@@ -172,39 +171,19 @@ def cmd_train(args) -> int:
         sys.stdout.write(canonical_json(resolved))
         return 0
     model_cfg = ModelConfig(**resolved["model"]).validate()
-    base_train = TrainConfig(**resolved["train"]).validate()
-    plan = make_split(epochs, resolved["protocol"], n_folds=resolved["n_folds"],
-                      train_fraction=resolved["train_fraction"])
+    result = run_protocol(
+        epochs, resolved["protocol"], model_cfg, TrainConfig(**resolved["train"]).validate(),
+        align=resolved["align"], n_folds=resolved["n_folds"],
+        train_fraction=resolved["train_fraction"], seeds=resolved["seeds"],
+    )
+    jobs = result["folds"]
     params, flops = count_params_flops(model_cfg)
-    jobs = [
-        (seed, fold, tr, te)
-        for seed in resolved["seeds"]
-        for fold, (tr, te) in enumerate(plan.folds)
-    ]
-
-    def work(job):
-        seed, fold, tr, te = job
-        t0 = time.perf_counter()
-        out = run_fold(epochs, tr, te, model_cfg, replace(base_train, seed=seed),
-                       fold, align=resolved["align"])
-        return out, time.perf_counter() - t0
-
-    workers = min(thread_budget(), len(jobs))
-    if workers == 1:
-        results = [work(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, jobs))
-
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for (seed, fold, _, _), (fo, wall) in zip(jobs, results):
-        if len(jobs) == 1:
-            job_dir = args.out
-        else:
-            job_dir = os.path.join(args.out, f"seed{seed}_fold{fold}")
-            os.makedirs(job_dir, exist_ok=True)
-        oc = fo.outcome
+    for fo in jobs:
+        seed, fold, oc = fo.seed, fo.fold, fo.outcome
+        job_dir = args.out if len(jobs) == 1 else os.path.join(args.out, f"seed{seed}_fold{fold}")
+        os.makedirs(job_dir, exist_ok=True)
         report = {
             "config": resolved,
             "seed": seed,
@@ -229,7 +208,7 @@ def cmd_train(args) -> int:
                   ["epoch", "train_loss", "val_loss", "val_acc"], curve_rows)
         save_snapshot(os.path.join(job_dir, "model.bin"), oc.model.params)
         _write_text(os.path.join(job_dir, "timing.json"),
-                    canonical_json({"wall_seconds": wall}))
+                    canonical_json({"wall_seconds": fo.wall_s}))
         rows.append({
             "seed": seed,
             "fold": fold,
@@ -240,16 +219,9 @@ def cmd_train(args) -> int:
         })
         print(f"seed={seed} fold={fold} acc={format_cell(fo.metrics['accuracy'])} "
               f"macro_f1={format_cell(fo.metrics['macro_f1'])}")
-    accs = np.array([r["accuracy"] for r in rows])
-    f1s = np.array([r["macro_f1"] for r in rows])
-    summary = {
-        "config": resolved,
-        "jobs": rows,
-        "mean_accuracy": float(accs.mean()),
-        "std_accuracy": float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
-        "mean_macro_f1": float(f1s.mean()),
-        "std_macro_f1": float(f1s.std(ddof=1)) if f1s.size > 1 else 0.0,
-    }
+    summary = {"config": resolved, "jobs": rows}
+    for key in ("mean_accuracy", "std_accuracy", "mean_macro_f1", "std_macro_f1"):
+        summary[key] = result[key]
     _write_text(os.path.join(args.out, "summary.json"), canonical_json(summary))
     print(f"mean_acc={format_cell(summary['mean_accuracy'])} "
           f"std_acc={format_cell(summary['std_accuracy'])}")
@@ -271,8 +243,6 @@ def _restore_model(args) -> tuple:
 
 
 def cmd_eval(args) -> int:
-    from .training import evaluate_model
-
     epochs, _, model = _restore_model(args)
     x = epochs.data.astype(model.cfg.np_dtype)
     metrics = evaluate_model(model, x, epochs.labels)
@@ -296,8 +266,8 @@ def cmd_export_viz(args) -> int:
     if not 0 <= args.trial < epochs.n_trials:
         raise ConfigError(f"trial {args.trial} out of range [0, {epochs.n_trials})")
     x = epochs.data[args.trial : args.trial + 1].astype(model.cfg.np_dtype)
-    trace = ForwardTrace()
-    model.forward(x, trace=trace)
+    capture = {}
+    model.forward(x, capture=capture)
     os.makedirs(args.out, exist_ok=True)
     written = []
 
@@ -306,22 +276,19 @@ def cmd_export_viz(args) -> int:
         save_heatmap(os.path.join(args.out, stem + ".svg"), matrix)
         written.extend([stem + ".csv", stem + ".svg"])
 
-    def emit_stack(prefix: str, per_layer: list, importance: bool):
-        for layer, arr in enumerate(per_layer):
-            if importance:
-                emit(f"{prefix}_layer{layer}", arr[0], row_label="head")
-            else:
-                for head in range(arr.shape[1]):
-                    emit(f"{prefix}_layer{layer}_head{head}", arr[0, head])
-
-    emit_stack("sacm", trace.spatial_attention, importance=False)
-    emit_stack("tcam", trace.temporal_attention, importance=False)
-    emit_stack("omega", trace.channel_importance, importance=True)
-    emit_stack("sacm_rev", trace.spatial_attention_rev, importance=False)
-    emit_stack("tcam_rev", trace.temporal_attention_rev, importance=False)
-    emit_stack("omega_rev", trace.channel_importance_rev, importance=True)
-    if trace.patch_weights is not None:
-        emit("alpha", trace.patch_weights)
+    # "layer1.tsia_rev/attention" -> tcam_rev_layer1_head{h}; "fusion/alpha" -> alpha
+    for key, arr in capture.items():
+        block, kind = key.split("/")
+        if kind == "alpha":
+            emit("alpha", arr)
+            continue
+        layer, name = block.split(".")
+        stem = f"{_VIZ_STEMS[kind]}{name[len('tsia'):]}_{layer}"
+        if kind == "importance":
+            emit(stem, arr[0], row_label="head")
+        else:
+            for head in range(arr.shape[1]):
+                emit(f"{stem}_head{head}", arr[0, head])
     emit("saliency", saliency(epochs.data[args.trial].astype(model.cfg.np_dtype), model))
     print(f"wrote {len(written)} files to {args.out}")
     return 0
@@ -573,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="print or save protocol fold indices")
     p.add_argument("--data", required=True)
-    p.add_argument("--protocol", required=True, choices=("CO", "CV", "LOSO"))
+    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
     p.add_argument("--n-folds", type=int, default=5)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--out")

@@ -19,38 +19,11 @@ def relu_clearance(model, x: np.ndarray) -> float:
     the step size of zero, which makes the numeric derivative wrong even
     though the analytic one is exact. Callers probing a full network should
     pick inputs whose clearance comfortably exceeds the perturbation scale.
+    The pre-activations are read off the tape of one eval-mode forward pass.
     """
-    from . import tensor as tz
-    from .network import run_layers, spatial_tokenize, temporal_tokenize
-
-    cfg, params = model.cfg, model.params
-    xt = Tensor(np.asarray(x, dtype=cfg.np_dtype))
-    z_t = temporal_tokenize(xt, params, cfg, False)
-    z_s = spatial_tokenize(xt, params, cfg, False)
-    if cfg.use_positional_embedding:
-        z_t = tz.add(z_t, params["position.temporal"])
-        z_s = tz.add(z_s, params["position.spatial"])
-    z_t, z_s = run_layers(z_t, z_s, params, cfg, None, False)
-    pres = []
-    if cfg.fusion_mode == "adaptive":
-        h = (z_t.data @ params["fusion.score.hidden.weight"].data
-             + params["fusion.score.hidden.bias"].data)
-        pres.append(h)
-        scores = (np.maximum(h, 0.0) @ params["fusion.score.out.weight"].data
-                  + params["fusion.score.out.bias"].data)
-        scores = scores.reshape(scores.shape[0], cfg.n_patches)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha = e / e.sum(axis=1, keepdims=True)
-        zt_vec = (alpha[:, :, None] * z_t.data).sum(axis=1)
-        cw = params["fusion.channel_weights"].data.reshape(cfg.n_channels, 1)
-        zs_vec = (z_s.data * cw).sum(axis=1)
-    else:
-        zt_vec = z_t.data.mean(axis=1)
-        zs_vec = z_s.data.mean(axis=1)
-    u = np.concatenate([zt_vec, zs_vec], axis=-1)
-    pres.append(u @ params["classifier.hidden.weight"].data
-                + params["classifier.hidden.bias"].data)
-    return min(float(np.abs(p).min()) for p in pres)
+    with Tape() as tape:
+        model.forward(x)
+    return min(float(np.abs(e.inputs[0].data).min()) for e in tape.entries if e.op == "relu")
 
 
 def clear_input_draw(model, batch: int, rng: RngStream, min_clearance: float = 1e-3,

@@ -7,8 +7,6 @@ rng handed to forward.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .config import ModelConfig
@@ -17,37 +15,6 @@ from .params import ParamSet, init_params
 from .rng import RngStream
 from . import tensor as tz
 from .tensor import Tape, Tensor, backward
-
-
-@dataclass
-class ForwardTrace:
-    """Attention and feature intermediates captured during one forward pass.
-
-    Arrays are detached numpy copies with a leading batch axis; one list entry
-    per layer. The *_rev fields fill only for st2s/bidir integration.
-    """
-
-    spatial_attention: list = field(default_factory=list)   # [B, H, C, C]
-    channel_importance: list = field(default_factory=list)  # [B, H, C]
-    temporal_attention: list = field(default_factory=list)  # [B, H, dh, dh]
-    spatial_attention_rev: list = field(default_factory=list)
-    channel_importance_rev: list = field(default_factory=list)
-    temporal_attention_rev: list = field(default_factory=list)
-    features_pre: list = field(default_factory=list)         # [B, P, D]
-    features_post: list = field(default_factory=list)        # [B, P, D]
-    patch_weights: np.ndarray | None = None                  # [B, P]
-
-    def for_trial(self, i: int) -> dict:
-        out = {
-            "spatial_attention": [a[i] for a in self.spatial_attention],
-            "channel_importance": [a[i] for a in self.channel_importance],
-            "temporal_attention": [a[i] for a in self.temporal_attention],
-            "features_pre": [a[i] for a in self.features_pre],
-            "features_post": [a[i] for a in self.features_post],
-        }
-        if self.patch_weights is not None:
-            out["patch_weights"] = self.patch_weights[i]
-        return out
 
 
 def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bool) -> Tensor:
@@ -166,26 +133,20 @@ def integrate(refined: Tensor, s_pool: Tensor, params: ParamSet, prefix: str) ->
 
 
 def tsia_apply(source: Tensor, target: Tensor, params: ParamSet, prefix: str, embed: str,
-               cfg: ModelConfig):
-    """Full interactive attention: pool the source, refine the target, gate, project."""
+               cfg: ModelConfig, capture: dict | None = None):
+    """Full interactive attention: pool the source, refine the target, gate, project.
+
+    With a capture dict, stores detached copies of the maps under
+    ``<prefix>/affinity``, ``<prefix>/importance`` and ``<prefix>/attention``.
+    """
     s_pool, affinity, importance = pooled_context(source, params, prefix, embed, cfg)
     refined, attention = gated_refine(target, params, prefix, cfg)
     out = integrate(refined, s_pool, params, prefix)
+    if capture is not None:
+        capture[f"{prefix}/affinity"] = affinity.data.copy()
+        capture[f"{prefix}/importance"] = importance.data.copy()
+        capture[f"{prefix}/attention"] = attention.data.copy()
     return out, affinity, importance, attention
-
-
-def sacm_context(z_s: Tensor, params: ParamSet, layer: int, cfg: ModelConfig):
-    """Head-concatenated pooled summary broadcast over patches: [B, P, D].
-
-    Thin wrapper over pooled_context for callers that want the broadcast form.
-    """
-    s_pool, affinity, importance = pooled_context(
-        z_s, params, f"layer{layer}.tsia", "electrode_embedding", cfg
-    )
-    b = z_s.shape[0]
-    flat = tz.reshape(s_pool, (b, 1, cfg.embed_dim))
-    ones = Tensor(np.ones((1, cfg.n_patches, 1), dtype=z_s.dtype))
-    return tz.mul(ones, flat), affinity, importance
 
 
 def run_layers(
@@ -195,15 +156,14 @@ def run_layers(
     cfg: ModelConfig,
     rng: RngStream | None,
     training: bool,
-    trace: ForwardTrace | None = None,
+    capture: dict | None = None,
 ):
     """Stacked dual-stream layers with the configured integration direction."""
+    mode = cfg.integration_mode
     for layer in range(cfg.temporal_depth):
         if layer < cfg.spatial_depth:
             z_s = ffn_block(z_s, params, f"layer{layer}.spatial_ffn", cfg, rng, training)
         h_t = ffn_block(z_t, params, f"layer{layer}.temporal_ffn", cfg, rng, training)
-        if trace is not None:
-            trace.features_pre.append(h_t.data.copy())
         if not cfg.use_tsia:
             pooled = tz.reduce_mean(z_s, axis=1)
             b = z_s.shape[0]
@@ -211,48 +171,21 @@ def run_layers(
             spread = tz.mul(ones, tz.reshape(pooled, (b, 1, cfg.embed_dim)))
             cat = tz.concat([h_t, spread], axis=-1)
             z_t = tz.matmul(cat, params[f"layer{layer}.concat_proj.weight"])
-        elif cfg.integration_mode == "st2t":
-            z_t, aff, imp, att = tsia_apply(
-                z_s, h_t, params, f"layer{layer}.tsia", "electrode_embedding", cfg
-            )
-            if trace is not None:
-                trace.spatial_attention.append(aff.data.copy())
-                trace.channel_importance.append(imp.data.copy())
-                trace.temporal_attention.append(att.data.copy())
-        elif cfg.integration_mode == "st2s":
-            z_s_new, aff, imp, att = tsia_apply(
-                h_t, z_s, params, f"layer{layer}.tsia_rev", "token_embedding", cfg
-            )
-            if trace is not None:
-                trace.spatial_attention_rev.append(aff.data.copy())
-                trace.channel_importance_rev.append(imp.data.copy())
-                trace.temporal_attention_rev.append(att.data.copy())
-            z_t, z_s = h_t, z_s_new
-        elif cfg.integration_mode == "bidir":
-            z_t_new, aff, imp, att = tsia_apply(
-                z_s, h_t, params, f"layer{layer}.tsia", "electrode_embedding", cfg
-            )
-            z_s_new, aff_r, imp_r, att_r = tsia_apply(
-                h_t, z_s, params, f"layer{layer}.tsia_rev", "token_embedding", cfg
-            )
-            if trace is not None:
-                trace.spatial_attention.append(aff.data.copy())
-                trace.channel_importance.append(imp.data.copy())
-                trace.temporal_attention.append(att.data.copy())
-                trace.spatial_attention_rev.append(aff_r.data.copy())
-                trace.channel_importance_rev.append(imp_r.data.copy())
-                trace.temporal_attention_rev.append(att_r.data.copy())
-            z_t, z_s = z_t_new, z_s_new
-        else:  # none: streams stay independent
-            z_t = h_t
-        if trace is not None:
-            trace.features_post.append(z_t.data.copy())
+            continue
+        # st2s reads h_t and this layer's z_s, so z_t may be replaced first
+        z_t = h_t
+        if mode in ("st2t", "bidir"):
+            z_t = tsia_apply(z_s, h_t, params, f"layer{layer}.tsia",
+                             "electrode_embedding", cfg, capture)[0]
+        if mode in ("st2s", "bidir"):
+            z_s = tsia_apply(h_t, z_s, params, f"layer{layer}.tsia_rev",
+                             "token_embedding", cfg, capture)[0]
     return z_t, z_s
 
 
 def fuse(z_t: Tensor, z_s: Tensor, params: ParamSet, cfg: ModelConfig,
-         trace: ForwardTrace | None = None) -> Tensor:
-    """Collapse both streams to one [B, 2D] vector."""
+         capture: dict | None = None) -> Tensor:
+    """Collapse both streams to one [B, 2D] vector; captures ``fusion/alpha``."""
     b = z_t.shape[0]
     if cfg.fusion_mode == "adaptive":
         cw = tz.reshape(params["fusion.channel_weights"], (cfg.n_channels, 1))
@@ -261,8 +194,8 @@ def fuse(z_t: Tensor, z_s: Tensor, params: ParamSet, cfg: ModelConfig,
         h = tz.relu(h)
         scores = tz.matmul(h, params["fusion.score.out.weight"]) + params["fusion.score.out.bias"]
         alpha = tz.softmax(tz.reshape(scores, (b, cfg.n_patches)), axis=-1)
-        if trace is not None:
-            trace.patch_weights = alpha.data.copy()
+        if capture is not None:
+            capture["fusion/alpha"] = alpha.data.copy()
         zt_vec = tz.reduce_sum(tz.mul(tz.reshape(alpha, (b, cfg.n_patches, 1)), z_t), axis=1)
     else:
         zt_vec = tz.reduce_mean(z_t, axis=1)
@@ -282,9 +215,13 @@ def forward(
     cfg: ModelConfig,
     rng: RngStream | None = None,
     training: bool = False,
-    trace: ForwardTrace | None = None,
+    capture: dict | None = None,
 ) -> Tensor:
-    """Batched forward pass: [B, C, T] -> logits [B, n_classes]."""
+    """Batched forward pass: [B, C, T] -> logits [B, n_classes].
+
+    A capture dict receives detached copies of the attention maps and patch
+    weights, keyed by block, e.g. ``layer1.tsia_rev/attention``.
+    """
     if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.n_samples:
         raise ShapeError(
             f"forward expects [B, {cfg.n_channels}, {cfg.n_samples}], got {x.shape}"
@@ -294,8 +231,8 @@ def forward(
     if cfg.use_positional_embedding:
         z_t = tz.add(z_t, params["position.temporal"])
         z_s = tz.add(z_s, params["position.spatial"])
-    z_t, z_s = run_layers(z_t, z_s, params, cfg, rng, training, trace)
-    u = fuse(z_t, z_s, params, cfg, trace)
+    z_t, z_s = run_layers(z_t, z_s, params, cfg, rng, training, capture)
+    u = fuse(z_t, z_s, params, cfg, capture)
     return classify(u, params)
 
 
@@ -310,10 +247,10 @@ class Model:
     def build(cls, cfg: ModelConfig, seed: int) -> "Model":
         return cls(cfg, init_params(cfg, seed))
 
-    def forward(self, x, rng=None, training=False, trace=None) -> Tensor:
+    def forward(self, x, rng=None, training=False, capture=None) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.cfg.np_dtype))
-        return forward(x, self.params, self.cfg, rng, training, trace)
+        return forward(x, self.params, self.cfg, rng, training, capture)
 
     def logits_np(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Eval-mode logits for a numpy batch, chunked to bound memory."""

@@ -12,7 +12,7 @@ than writing into them. The only mutable state is BatchNormState, updated
 explicitly by train-mode batchnorm.
 
 All primitives check that finite inputs produce finite outputs and raise
-NumericError otherwise (toggle with FINITE_GUARD for speed experiments).
+NumericError otherwise; backward checks every input gradient the same way.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, NumericError, ShapeError
-
-FINITE_GUARD = True
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -159,7 +157,7 @@ def active_tape() -> Tape | None:
 
 
 def _guard(op: str, out: np.ndarray) -> None:
-    if FINITE_GUARD and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise NumericError(f"{op}: non-finite output from finite inputs")
 
 
@@ -197,7 +195,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         for t, gi in zip(entry.inputs, in_grads):
             if gi is None or not t.requires_grad:
                 continue
-            if FINITE_GUARD and not np.all(np.isfinite(gi)):
+            if not np.all(np.isfinite(gi)):
                 raise NumericError(f"{entry.op}: non-finite gradient")
             key = id(t)
             by_id[key] = t

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,8 +37,11 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if not (self.lr > 0):
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:
+            raise ConfigError(
+                f"batch_size must be >= 2 (train-mode batchnorm needs two rows per batch), "
+                f"got {self.batch_size}"
+            )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.patience <= self.epochs:
@@ -200,12 +204,9 @@ def evaluate_model(model: Model, x: np.ndarray, labels: np.ndarray,
     preds = logits.argmax(axis=1)
     out = metrics_from_confusion(confusion_matrix(labels, preds, model.cfg.n_classes))
     if weights is not None:
-        z = logits.astype(np.float64)
-        m = z.max(axis=1, keepdims=True)
-        lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-        logp = z - lse
-        w_i = np.asarray(weights)[labels]
-        out["loss"] = float(-(w_i * logp[np.arange(len(labels)), labels]).mean())
+        out["loss"] = weighted_cross_entropy(
+            Tensor(logits.astype(np.float64)), labels, weights
+        ).item()
     return out
 
 
@@ -225,10 +226,14 @@ class TrainOutcome:
 
 
 def _batches(order: np.ndarray, batch_size: int):
-    # the final short batch is kept; a size-1 remainder hits batchnorm's
-    # train-mode minimum and raises, which callers avoid by sizing batches
-    for start in range(0, order.size, batch_size):
-        yield order[start : start + batch_size]
+    # the final short batch is kept, but a size-1 remainder joins the batch
+    # before it: train-mode batchnorm needs at least two rows
+    stop = 0
+    while stop < order.size:
+        start, stop = stop, stop + batch_size
+        if order.size - stop == 1:
+            stop = order.size
+        yield order[start:stop]
 
 
 def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -335,6 +340,8 @@ class FoldOutcome:
     n_train: int
     n_val: int
     n_test: int
+    seed: int
+    wall_s: float
 
 
 def thread_budget() -> int:
@@ -351,6 +358,7 @@ def thread_budget() -> int:
 def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
              model_cfg: ModelConfig, train_cfg: TrainConfig, fold: int,
              align: bool = False) -> FoldOutcome:
+    t0 = time.perf_counter()
     data = epochs_set
     if align:
         data = euclidean_align(epochs_set, fit_indices=train_idx)
@@ -362,31 +370,36 @@ def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
         x[val_idx], data.labels[val_idx],
     )
     metrics = evaluate_model(outcome.model, x[test_idx], data.labels[test_idx])
-    return FoldOutcome(fold, outcome, metrics, fit_idx.size, val_idx.size, test_idx.size)
+    return FoldOutcome(fold, outcome, metrics, fit_idx.size, val_idx.size, test_idx.size,
+                       train_cfg.seed, time.perf_counter() - t0)
 
 
 def run_protocol(epochs_set: EpochSet, protocol: str, model_cfg: ModelConfig,
                  train_cfg: TrainConfig, align: bool = False, n_folds: int = 5,
-                 train_fraction: float = 0.8, threads: int | None = None) -> dict:
-    """Train and evaluate across every fold of a protocol split.
+                 train_fraction: float = 0.8, seeds: list | None = None) -> dict:
+    """Train and evaluate every (seed, fold) job of a protocol split.
 
-    Folds run in a thread pool sized by LIDSN_THREADS (or the threads
-    argument); results are reduced in fold order, so the output does not
-    depend on scheduling. Aggregates are mean and sample std (ddof=1, zero
-    for a single fold).
+    seeds defaults to train_cfg.seed alone. Jobs run in a thread pool sized
+    by LIDSN_THREADS and are reduced seed-major, fold-minor, so the output
+    does not depend on scheduling. Aggregates are mean and sample std
+    (ddof=1, zero for a single job).
     """
     plan = make_split(epochs_set, protocol, n_folds=n_folds, train_fraction=train_fraction)
-    workers = thread_budget() if threads is None else max(1, threads)
-    jobs = [(k, tr, te) for k, (tr, te) in enumerate(plan.folds)]
+    jobs = [
+        (replace(train_cfg, seed=seed), k, tr, te)
+        for seed in ([train_cfg.seed] if seeds is None else seeds)
+        for k, (tr, te) in enumerate(plan.folds)
+    ]
 
     def work(job):
-        k, tr, te = job
-        return run_fold(epochs_set, tr, te, model_cfg, train_cfg, k, align=align)
+        cfg, k, tr, te = job
+        return run_fold(epochs_set, tr, te, model_cfg, cfg, k, align=align)
 
-    if workers == 1 or len(jobs) == 1:
+    workers = min(thread_budget(), len(jobs))
+    if workers == 1:
         fold_outcomes = [work(j) for j in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             fold_outcomes = list(pool.map(work, jobs))
 
     accs = np.array([f.metrics["accuracy"] for f in fold_outcomes])

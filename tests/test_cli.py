@@ -78,6 +78,32 @@ def test_train_rerun_is_byte_identical(work):
         assert (work["out"] / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_multi_job_train_layout_and_thread_independence(work, monkeypatch):
+    run_cfg = dict(RUN_CONFIG, protocol="CV", n_folds=3, seeds=[0, 4])
+    cfg_path = work["root"] / "multi.json"
+    cfg_path.write_text(json.dumps(run_cfg))
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LIDSN_THREADS", threads)
+        out = work["root"] / f"multi-t{threads}"
+        assert main(["train", "--data", str(work["data"]), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    jobs = [(seed, fold) for seed in (0, 4) for fold in range(3)]
+    summary = json.loads((outs[0] / "summary.json").read_text())
+    assert [(j["seed"], j["fold"]) for j in summary["jobs"]] == jobs
+    expected = {"summary.json"} | {
+        f"seed{seed}_fold{fold}/{name}" for seed, fold in jobs
+        for name in ("report.json", "curves.csv", "model.bin", "timing.json")
+    }
+    for out in outs:
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files == expected
+    for name in sorted(expected):
+        if not name.endswith("timing.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_print_config_roundtrip(work, capsys):
     assert main(["train", "--data", str(work["data"]), "--config", str(work["cfg"]),
                  "--out", str(work["root"] / "unused"), "--print-config"]) == 0
@@ -104,17 +130,40 @@ def test_eval_prints_metrics_and_confusion(work, capsys):
     assert len(lines) == 3
 
 
-def test_export_viz_writes_maps(work, capsys):
-    out = work["root"] / "viz"
+def viz_names(mode: str, fusion: str, depth: int, heads: int) -> set:
+    """File names export-viz writes for one model configuration."""
+    suffixes = {"st2t": [""], "st2s": ["_rev"], "bidir": ["", "_rev"], "none": []}[mode]
+    stems = ["saliency"] + (["alpha"] if fusion == "adaptive" else [])
+    for layer in range(depth):
+        for rev in suffixes:
+            stems.append(f"omega{rev}_layer{layer}")
+            for head in range(heads):
+                stems += [f"sacm{rev}_layer{layer}_head{head}",
+                          f"tcam{rev}_layer{layer}_head{head}"]
+    return {stem + ext for stem in stems for ext in (".csv", ".svg")}
+
+
+@pytest.mark.parametrize("mode,fusion", [
+    ("st2t", "adaptive"), ("st2s", "adaptive"), ("bidir", "adaptive"), ("none", "adaptive"),
+    ("st2t", "mean-concat"),
+], ids=["st2t", "st2s", "bidir", "none", "mean-concat"])
+def test_export_viz_writes_maps(work, capsys, mode, fusion):
+    root = work["root"] / f"viz-{mode}-{fusion}"
+    run_cfg = dict(RUN_CONFIG, train=dict(RUN_CONFIG["train"], epochs=1, patience=1),
+                   model=dict(RUN_CONFIG["model"], integration_mode=mode, fusion_mode=fusion))
+    cfg_path = root.with_suffix(".json")
+    cfg_path.write_text(json.dumps(run_cfg))
+    assert main(["train", "--data", str(work["data"]), "--config", str(cfg_path),
+                 "--out", str(root / "run")]) == 0
+    out = root / "viz"
+    capsys.readouterr()
     assert main(["export-viz", "--data", str(work["data"]), "--model",
-                 str(work["out"] / "model.bin"), "--config", str(work["cfg"]),
+                 str(root / "run" / "model.bin"), "--config", str(cfg_path),
                  "--out", str(out), "--trial", "1"]) == 0
-    msg = capsys.readouterr().out
-    assert "wrote" in msg and str(out) in msg
     names = {p.name for p in out.iterdir()}
-    assert "saliency.csv" in names and "saliency.svg" in names
-    assert any(n.startswith("sacm_") for n in names)
-    assert any(n.startswith("alpha") for n in names)
+    model = RUN_CONFIG["model"]
+    assert names == viz_names(mode, fusion, model["temporal_depth"], model["n_heads"])
+    assert capsys.readouterr().out == f"wrote {len(names)} files to {out}\n"
 
 
 def test_align_smoke(work):

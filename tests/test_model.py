@@ -13,7 +13,6 @@ from lidsn import tensor as tz
 from lidsn.config import ModelConfig
 from lidsn.errors import ShapeError
 from lidsn.network import (
-    ForwardTrace,
     Model,
     ffn_block,
     gated_refine,
@@ -541,18 +540,16 @@ def test_forward_rejects_wrong_geometry(tiny_cfg):
 def test_trace_contents(tiny_cfg):
     model, _ = build(tiny_cfg)
     x = RngStream(19, 210).normal(0, 1, (2, tiny_cfg.n_channels, tiny_cfg.n_samples))
-    trace = ForwardTrace()
-    model.forward(x, trace=trace)
+    capture = {}
+    model.forward(x, capture=capture)
     n, h = tiny_cfg.temporal_depth, tiny_cfg.n_heads
     c, p, dh = tiny_cfg.n_channels, tiny_cfg.n_patches, tiny_cfg.head_dim
-    assert len(trace.spatial_attention) == n
-    assert trace.spatial_attention[0].shape == (2, h, c, c)
-    assert trace.temporal_attention[0].shape == (2, h, dh, dh)
-    assert trace.channel_importance[0].shape == (2, h, c)
-    assert trace.patch_weights.shape == (2, p)
-    assert np.allclose(trace.patch_weights.sum(-1), 1.0, atol=1e-12)
-    one = trace.for_trial(1)
-    assert one["patch_weights"].shape == (p,)
+    assert len([k for k in capture if k.endswith(".tsia/affinity")]) == n
+    assert capture["layer0.tsia/affinity"].shape == (2, h, c, c)
+    assert capture["layer0.tsia/attention"].shape == (2, h, dh, dh)
+    assert capture["layer0.tsia/importance"].shape == (2, h, c)
+    assert capture["fusion/alpha"].shape == (2, p)
+    assert np.allclose(capture["fusion/alpha"].sum(-1), 1.0, atol=1e-12)
 
 
 def test_saliency_normalized(tiny_cfg):

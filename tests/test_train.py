@@ -1,10 +1,12 @@
 """Loss, optimizer, metrics, and the training loop."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidsn.config import ModelConfig
 from lidsn.data import ClassRecipe, EpochSet, SynthSpec, synth_generate
-from lidsn.errors import ConfigError, NumericError, ShapeError
+from lidsn.errors import ConfigError, NumericError
 from lidsn.gradcheck import grad_check
 from lidsn.network import Model
 from lidsn.params import ParamSet
@@ -13,6 +15,7 @@ from lidsn.tensor import Tensor
 from lidsn.training import (
     Adam,
     TrainConfig,
+    _batches,
     class_weights,
     confusion_matrix,
     evaluate_model,
@@ -277,14 +280,28 @@ def test_train_rejects_empty_training_set(tiny_cfg):
 
 
 def test_train_keeps_final_short_batch(tiny_cfg):
-    """9 trials at batch 8 leave a size-1 remainder, which train-mode batch
-    statistics reject rather than silently dropping."""
+    """9 trials at batch 8 leave a size-1 remainder; it joins the batch before
+    it (train-mode batch statistics need two rows) instead of being dropped."""
     e = tiny_data(tiny_cfg)
     cfg = TrainConfig(epochs=1, patience=1, batch_size=8, seed=10)
     empty = np.zeros((0, tiny_cfg.n_channels, tiny_cfg.n_samples))
-    with pytest.raises(ShapeError):
-        train_model(tiny_cfg, cfg, e.data[:9], e.labels[:9], empty,
-                    np.zeros(0, dtype=np.int64))
+    out = train_model(tiny_cfg, cfg, e.data[:9], e.labels[:9], empty,
+                      np.zeros(0, dtype=np.int64))
+    assert out.epochs_run == 1
+    assert np.isfinite(out.curves[0]["train_loss"])
+
+
+@given(n=st.integers(2, 300), batch_size=st.integers(2, 64), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_batches_partition_order_with_two_rows_each(n, batch_size, seed):
+    order = np.random.default_rng(seed).permutation(n)
+    batches = list(_batches(order, batch_size))
+    assert np.array_equal(np.concatenate(batches), order)
+    assert all(b.size >= 2 for b in batches)
+    if n % batch_size != 1:
+        plain = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+        assert len(batches) == len(plain)
+        assert all(np.array_equal(a, b) for a, b in zip(batches, plain))
 
 
 def test_train_config_validation_and_parsing():
@@ -294,6 +311,8 @@ def test_train_config_validation_and_parsing():
         TrainConfig(beta2=1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(epochs=5, patience=6).validate()
+    with pytest.raises(ConfigError, match="batchnorm"):
+        TrainConfig(batch_size=1).validate()
     with pytest.raises(ConfigError):
         train_config_from_dict({"lr": 0.01, "bogus": 1})
     cfg = train_config_from_dict({"lr": 0.01, "epochs": 30})
@@ -346,11 +365,13 @@ def test_thread_budget_env(monkeypatch):
         thread_budget()
 
 
-def test_run_protocol_thread_count_does_not_change_results(tiny_cfg):
+def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch):
     e = tiny_data(tiny_cfg, trials=10)
     cfg = TrainConfig(epochs=2, patience=2, batch_size=8, seed=8)
-    a = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2, threads=1)
-    b = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2, threads=2)
+    monkeypatch.setenv("LIDSN_THREADS", "1")
+    a = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2)
+    monkeypatch.setenv("LIDSN_THREADS", "2")
+    b = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2)
     assert a["mean_accuracy"] == b["mean_accuracy"]
     assert a["std_accuracy"] == b["std_accuracy"]
     fold_accs = [f.metrics["accuracy"] for f in a["folds"]]
