@@ -7,6 +7,8 @@ The on-disk format (EEGB v1, little-endian) is:
     u16 labels[n_trials] | u16 subjects[n_trials] |
     f32 data[trial][channel][sample]
 
+Every sample must be finite; a file holding NaN or infinity does not load.
+
 In memory data is float64; files store float32. Generated sets are rounded
 through float32 so save/load round-trips are bit-exact; aligned sets keep full
 f64 precision because their covariance post-condition is tighter than f32.
@@ -137,6 +139,9 @@ def load_epochs(path) -> EpochSet:
     subjects = np.frombuffer(blob, dtype="<u2", count=n_trials, offset=off).astype(np.int64)
     off += n_trials * 2
     data = np.frombuffer(blob, dtype="<f4", count=n_trials * n_channels * n_samples, offset=off)
+    if not np.isfinite(data).all():
+        bad = int(np.count_nonzero(~np.isfinite(data)))
+        raise DataFormatError("non_finite", f"payload has {bad} non-finite samples")
     data = data.astype(np.float64).reshape(n_trials, n_channels, n_samples)
     if n_trials and labels.max() >= n_classes:
         raise DataFormatError(

@@ -11,8 +11,9 @@ Tensors are immutable once produced; parameter updates replace tensors rather
 than writing into them. The only mutable state is BatchNormState, updated
 explicitly by train-mode batchnorm.
 
-All primitives check that finite inputs produce finite outputs and raise
-NumericError otherwise; backward checks every input gradient the same way.
+All primitives raise NumericError on a non-finite output, naming a non-finite
+input as the cause when there is one; backward checks every input gradient
+the same way.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ConfigError, NumericError, ShapeError
@@ -156,14 +158,13 @@ def active_tape() -> Tape | None:
     return _STACK.tapes[-1] if _STACK.tapes else None
 
 
-def _guard(op: str, out: np.ndarray) -> None:
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"{op}: non-finite output from finite inputs")
-
-
 def _record(op: str, out_data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
     """Wrap out_data; record the backward rule if anything upstream needs it."""
-    _guard(op, out_data)
+    if not np.all(np.isfinite(out_data)):
+        # inputs are checked only here, so the finite path pays nothing for it
+        if any(not np.all(np.isfinite(t.data)) for t in inputs):
+            raise NumericError(f"{op}: non-finite input")
+        raise NumericError(f"{op}: non-finite output from finite inputs")
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
@@ -569,11 +570,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     pad = k // 2
     t_out = (t - 1) // stride + 1
     xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
-    out = np.zeros((n, cout, t_out), dtype=xd.dtype)
     hi = stride * (t_out - 1) + 1
-    for j in range(k):
-        seg = xpad[:, :, j : j + hi : stride]
-        out += np.einsum("oc,nct->not", w.data[:, :, j], seg, optimize=True)
+    # one row of taps per output step: [N * T_out, Cin * K]
+    win = sliding_window_view(xpad, k, axis=2)[:, :, :hi:stride]
+    cols = win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
+    wmat = w.data.reshape(cout, cin * k)
+    out = np.ascontiguousarray((cols @ wmat.T).reshape(n, t_out, cout).transpose(0, 2, 1))
     if b is not None:
         if b.shape != (cout,):
             raise ShapeError(f"conv1d bias shape {b.shape} != ({cout},)")
@@ -582,14 +584,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     def back(g):
         if squeeze:
             g = g[None]
+        g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
+        dw = (g2.T @ cols).reshape(w.shape)
+        dcols = (g2 @ wmat).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
         dx_pad = np.zeros_like(xpad)
-        dw = np.zeros_like(w.data)
         for j in range(k):
-            seg = xpad[:, :, j : j + hi : stride]
-            dw[:, :, j] = np.einsum("not,nct->oc", g, seg, optimize=True)
-            dx_pad[:, :, j : j + hi : stride] += np.einsum(
-                "oc,not->nct", w.data[:, :, j], g, optimize=True
-            )
+            dx_pad[:, :, j : j + hi : stride] += dcols[..., j]
         dx = dx_pad[:, :, pad : pad + t]
         if squeeze:
             dx = dx[0]
@@ -617,7 +617,7 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def back(g):
         if squeeze:
             g = g[None]
-        dw = np.einsum("not,nct->oc", g, xd, optimize=True)
+        dw = np.tensordot(g, xd, axes=([0, 2], [0, 2]))
         dx = np.matmul(w.data.T, g)
         if squeeze:
             dx = dx[0]
@@ -641,12 +641,9 @@ def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"depthwise kernel length must be odd, got {k}")
     if xd.shape[1] != c:
         raise ShapeError(f"depthwise: input channels {xd.shape[1]} != kernel C {c}")
-    n, _, t = xd.shape
     pad = k // 2
-    xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
-    out = np.zeros_like(xd)
-    for j in range(k):
-        out += w.data[:, j, None] * xpad[:, :, j : j + t]
+    win = sliding_window_view(np.pad(xd, ((0, 0), (0, 0), (pad, pad))), k, axis=2)
+    out = np.einsum("nctk,ck->nct", win, w.data)
     if b is not None:
         if b.shape != (c,):
             raise ShapeError(f"depthwise bias shape {b.shape} != ({c},)")
@@ -655,12 +652,10 @@ def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def back(g):
         if squeeze:
             g = g[None]
-        dw = np.zeros_like(w.data)
-        dx_pad = np.zeros_like(xpad)
-        for j in range(k):
-            dw[:, j] = np.sum(g * xpad[:, :, j : j + t], axis=(0, 2))
-            dx_pad[:, :, j : j + t] += w.data[:, j, None] * g
-        dx = dx_pad[:, :, pad : pad + t]
+        dw = np.einsum("nct,nctk->ck", g, win)
+        # the input gradient correlates the padded g with the reversed taps
+        gwin = sliding_window_view(np.pad(g, ((0, 0), (0, 0), (pad, pad))), k, axis=2)
+        dx = np.einsum("nctk,ck->nct", gwin, np.ascontiguousarray(w.data[:, ::-1]))
         if squeeze:
             dx = dx[0]
         db = None if b is None else g.sum(axis=(0, 2))
@@ -679,10 +674,7 @@ def avgpool1d(x: Tensor, window: int, stride: int) -> Tensor:
         raise ShapeError(f"avgpool1d window {window} exceeds input length {t}")
     p = (t - window) // stride + 1
     hi = stride * (p - 1) + 1
-    acc = np.zeros(x.shape[:-1] + (p,), dtype=x.dtype)
-    for j in range(window):
-        acc += x.data[..., j : j + hi : stride]
-    out = acc / window
+    out = sliding_window_view(x.data, window, axis=-1)[..., :hi:stride, :].sum(-1) / window
 
     def back(g):
         dx = np.zeros(x.shape, dtype=x.dtype)

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ def test_train_rerun_is_byte_identical(work):
                  "--out", str(out2)]) == 0
     for name in ("report.json", "curves.csv", "model.bin", "summary.json"):
         assert (work["out"] / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_float32_train_rerun_is_byte_identical(work):
+    cfg_path = work["root"] / "f32.json"
+    cfg_path.write_text(json.dumps(dict(RUN_CONFIG, model=dict(RUN_CONFIG["model"], dtype="float32"))))
+    outs = [work["root"] / f"f32-run{i}" for i in (1, 2)]
+    for out in outs:
+        assert main(["train", "--data", str(work["data"]), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    for name in ("report.json", "model.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_multi_job_train_layout_and_thread_independence(work, monkeypatch):
@@ -229,6 +241,21 @@ def test_corrupt_file_exits_2(work, capsys):
     bad.write_bytes(b"NOPE" + bytes(40))
     assert main(["align", "--data", str(bad), "--out", str(work["root"] / "o.eegb")]) == 2
     assert capsys.readouterr().err.startswith("error[bad_magic]:")
+
+
+def test_non_finite_payload_exits_2(work, capsys):
+    header = struct.Struct("<4sHIHIfH")
+    samples = np.arange(12, dtype="<f4")
+    samples[5] = np.nan
+    bad = work["root"] / "nan.eegb"
+    bad.write_bytes(header.pack(b"EEGB", 1, 2, 2, 3, 100.0, 2)
+                    + np.array([0, 1], dtype="<u2").tobytes()
+                    + np.array([0, 0], dtype="<u2").tobytes()
+                    + samples.tobytes())
+    assert main(["train", "--data", str(bad), "--config", str(work["cfg"]),
+                 "--out", str(work["root"] / "nan-run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[non_finite]:") and err.count("\n") == 1
 
 
 def test_bad_config_exits_1(work, capsys):

@@ -144,6 +144,16 @@ def test_corrupt_trailing_data(tmp_path):
     assert e.value.kind == "trailing_data"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_corrupt_non_finite_sample(tmp_path, value):
+    data = np.arange(12, dtype="<f4")
+    data[7] = value
+    blob = valid_blob()[:-data.nbytes] + data.tobytes()
+    with pytest.raises(DataFormatError, match="1 non-finite samples") as e:
+        _load_bytes(tmp_path, blob)
+    assert e.value.kind == "non_finite"
+
+
 def test_corrupt_label_out_of_range(tmp_path):
     good = valid_blob()
     bad_labels = np.array([0, 5], dtype="<u2").tobytes()

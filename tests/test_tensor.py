@@ -66,15 +66,43 @@ def test_layernorm_forward_oracle():
     assert np.allclose(out.data, expected, atol=1e-13)
 
 
+def naive_conv1d(x, w, b, stride):
+    """Loop oracle: 'same'-padded strided cross-correlation of [N, Cin, T]."""
+    n, _, t = x.shape
+    cout, _, k = w.shape
+    pad = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2)))
+    t_out = (t - 1) // stride + 1
+    expected = np.zeros((n, cout, t_out))
+    for i in range(n):
+        for o in range(cout):
+            for j in range(t_out):
+                window = pad[i, :, stride * j : stride * j + k]
+                expected[i, o, j] = (window * w[o]).sum() + b[o]
+    return expected
+
+
+def naive_depthwise(x, w):
+    """Loop oracle: 'same'-padded per-channel cross-correlation of [N, C, T]."""
+    n, c, t = x.shape
+    k = w.shape[1]
+    pad = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2)))
+    expected = np.zeros((n, c, t))
+    for i in range(n):
+        for ch in range(c):
+            for j in range(t):
+                expected[i, ch, j] = (pad[i, ch, j : j + k] * w[ch]).sum()
+    return expected
+
+
+def naive_avgpool(x, window, stride):
+    """Loop oracle: mean over each window along the last axis."""
+    p = (x.shape[-1] - window) // stride + 1
+    return np.stack([x[..., stride * i : stride * i + window].mean(-1) for i in range(p)], axis=-1)
+
+
 def test_conv1d_forward_oracle():
     x, w, b = rnd(2, 3, 9, seed=12), rnd(4, 3, 3, seed=13), rnd(4, seed=14)
-    pad = np.pad(x, ((0, 0), (0, 0), (1, 1)))
-    expected = np.zeros((2, 4, 5))
-    for n in range(2):
-        for o in range(4):
-            for t in range(5):
-                window = pad[n, :, 2 * t : 2 * t + 3]
-                expected[n, o, t] = (window * w[o]).sum() + b[o]
+    expected = naive_conv1d(x, w, b, 2)
     out = tz.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=2)
     assert out.shape == (2, 4, 5)
     assert np.allclose(out.data, expected, atol=1e-13)
@@ -82,12 +110,7 @@ def test_conv1d_forward_oracle():
 
 def test_conv1d_depthwise_forward_oracle():
     x, w = rnd(2, 3, 8, seed=15), rnd(3, 3, seed=16)
-    pad = np.pad(x, ((0, 0), (0, 0), (1, 1)))
-    expected = np.zeros((2, 3, 8))
-    for n in range(2):
-        for c in range(3):
-            for t in range(8):
-                expected[n, c, t] = (pad[n, c, t : t + 3] * w[c]).sum()
+    expected = naive_depthwise(x, w)
     out = tz.conv1d_depthwise(Tensor(x), Tensor(w))
     assert np.allclose(out.data, expected, atol=1e-13)
 
@@ -101,7 +124,7 @@ def test_conv1d_pointwise_forward_oracle():
 
 def test_avgpool1d_forward_oracle():
     x = rnd(2, 3, 10, seed=20)
-    expected = np.stack([x[:, :, 3 * i : 3 * i + 4].mean(-1) for i in range(3)], axis=-1)
+    expected = naive_avgpool(x, 4, 3)
     out = tz.avgpool1d(Tensor(x), 4, 3)
     assert out.shape == (2, 3, 3)
     assert np.allclose(out.data, expected, atol=1e-14)
@@ -179,10 +202,17 @@ def test_dropout_zero_probability_is_identity_even_in_train():
 # backward checks
 
 
+def weighted_sum(y: Tensor) -> Tensor:
+    """Sum of y against a fixed random weight, so the upstream gradient is not all ones."""
+    weight = RngStream(40, 49).normal(0.0, 1.0, y.shape).astype(y.dtype)
+    return tz.reduce_sum(tz.mul(y, Tensor(weight)))
+
+
 @pytest.mark.parametrize("name", [
     "add", "sub", "mul", "scale", "matmul", "gelu", "cosine", "softmax",
     "l2norm", "layernorm", "reduce_sum", "reduce_mean", "reshape", "swapaxes",
     "concat", "select", "avgpool", "conv1d", "conv_pointwise", "conv_depthwise",
+    "conv1d_tokenizer", "conv_depthwise_2d_long_kernel", "avgpool_tiled", "avgpool_overlap",
 ])
 def test_primitive_gradients(name):
     r = RngStream(41, 50)
@@ -214,13 +244,22 @@ def test_primitive_gradients(name):
         "concat": (lambda ts: tz.reduce_sum(tz.mul(tz.concat([ts[0], ts[1]], -1), ts[2])),
                    [t(2, 3), t(2, 2), t(2, 5)]),
         "select": (lambda ts: tz.select(ts[0], (1, 2)), [t(2, 4)]),
-        "avgpool": (lambda ts: tz.reduce_sum(tz.avgpool1d(ts[0], 3, 2)), [t(2, 2, 9)]),
-        "conv1d": (lambda ts: tz.reduce_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=3)),
+        "avgpool": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 3, 2)), [t(2, 2, 9)]),
+        "conv1d": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=3)),
                    [t(2, 3, 11), t(2, 3, 5), t(2)]),
-        "conv_pointwise": (lambda ts: tz.reduce_sum(tz.conv1d_pointwise(ts[0], ts[1], ts[2])),
+        "conv_pointwise": (lambda ts: weighted_sum(tz.conv1d_pointwise(ts[0], ts[1], ts[2])),
                            [t(2, 3, 4), t(5, 3), t(5)]),
-        "conv_depthwise": (lambda ts: tz.reduce_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
+        "conv_depthwise": (lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
                            [t(2, 4, 7), t(4, 3), t(4)]),
+        # tokenizer shapes: one input channel at a wide stride, a kernel longer
+        # than the 2-d input it slides over, tiled and overlapping pools
+        "conv1d_tokenizer": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=4)),
+                             [t(3, 1, 19), t(2, 1, 7), t(2)]),
+        "conv_depthwise_2d_long_kernel": (
+            lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
+            [t(3, 4), t(3, 7), t(3)]),
+        "avgpool_tiled": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 4, 4)), [t(2, 3, 13)]),
+        "avgpool_overlap": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 5, 2)), [t(3, 12)]),
     }
     fn, inputs = cases[name]
     assert grad_check(fn, inputs) < 1e-6
@@ -329,6 +368,19 @@ def test_backward_rejects_loss_from_other_tape():
             backward(loss, tape2)
 
 
+def test_nonfinite_input_is_named_as_the_cause():
+    x = rnd(2, 3, 5, seed=47)
+    x[1, 2, 3] = np.nan
+    with pytest.raises(NumericError, match="conv1d_pointwise: non-finite input$"):
+        tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)))
+
+
+def test_overflow_from_finite_inputs_is_named():
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericError, match="mul: non-finite output from finite inputs$"):
+        tz.mul(Tensor(np.array([1e200])), Tensor(np.array([1e200])))
+
+
 def test_softmax_rejects_nonfinite_input():
     with pytest.raises(NumericError):
         tz.softmax(Tensor(np.array([1.0, np.nan])))
@@ -409,3 +461,66 @@ def test_avgpool_preserves_mean_when_exact_cover(seed):
     x = RngStream(seed, 63).normal(0.0, 1.0, (2, 3, 12))
     out = tz.avgpool1d(Tensor(x), 4, 4).data
     assert np.allclose(out.mean(-1), x.mean(-1), atol=1e-12)
+
+
+@given(
+    n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3), t=st.integers(1, 12),
+    half_k=st.integers(0, 4), stride_extra=st.integers(0, 10), seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra, seed):
+    k = 2 * half_k + 1
+    stride = 1 + stride_extra % (k + 2)  # 1 .. K + 2
+    r = RngStream(seed, 64)
+    x = r.normal(0.0, 1.0, (n, cin, t))
+    w, b = r.normal(0.0, 1.0, (cout, cin, k)), r.normal(0.0, 1.0, (cout,))
+    out = tz.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
+    assert np.allclose(out, naive_conv1d(x, w, b, stride), rtol=0, atol=1e-12)
+    wd = r.normal(0.0, 1.0, (cin, k))
+    out = tz.conv1d_depthwise(Tensor(x), Tensor(wd)).data
+    assert np.allclose(out, naive_depthwise(x, wd), rtol=0, atol=1e-12)
+    window = 1 + stride_extra % t
+    pool_stride = 1 + seed % (window + 2)
+    out = tz.avgpool1d(Tensor(x), window, pool_stride).data
+    assert np.allclose(out, naive_avgpool(x, window, pool_stride), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# float32
+
+
+def _float32_cases():
+    r = RngStream(46, 53)
+
+    def t(*shape):
+        return Tensor(r.normal(0.0, 1.0, shape).astype(np.float32), requires_grad=True)
+
+    return {
+        "conv1d": (lambda ts: tz.conv1d(ts[0], ts[1], ts[2], stride=4),
+                   [t(3, 1, 37), t(4, 1, 7), t(4)]),
+        "conv_pointwise": (lambda ts: tz.conv1d_pointwise(ts[0], ts[1], ts[2]),
+                           [t(3, 4, 20), t(5, 4), t(5)]),
+        "conv_depthwise": (lambda ts: tz.conv1d_depthwise(ts[0], ts[1], ts[2]),
+                           [t(3, 4, 20), t(4, 9), t(4)]),
+        "avgpool": (lambda ts: tz.avgpool1d(ts[0], 5, 5), [t(3, 4, 20)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["conv1d", "conv_pointwise", "conv_depthwise", "avgpool"])
+def test_float32_kernels_stay_float32(name):
+    fn, inputs = _float32_cases()[name]
+    with Tape() as tape:
+        out = fn(inputs)
+        assert out.dtype == np.float32
+        grads = backward(weighted_sum(out), tape)
+    for x in inputs:
+        assert grads[x].dtype == np.float32, name
+
+
+@pytest.mark.parametrize("name", ["conv1d", "conv_pointwise", "conv_depthwise", "avgpool"])
+def test_float32_forward_matches_float64(name):
+    fn, inputs = _float32_cases()[name]
+    out32 = fn(inputs).data
+    out64 = fn([Tensor(x.data.astype(np.float64)) for x in inputs]).data
+    assert out64.dtype == np.float64
+    assert np.allclose(out32, out64, rtol=1e-5, atol=1e-5)
