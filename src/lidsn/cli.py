@@ -15,14 +15,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as tz
-from .config import ModelConfig, model_config_from_dict
+from .config import ModelConfig, from_dict, model_config_from_dict
 from .data import (
     PROTOCOLS,
+    FeatureArgs,
     SynthSpec,
     euclidean_align,
     load_epochs,
@@ -30,9 +31,8 @@ from .data import (
     rpsd_features,
     save_epochs,
     synth_generate,
-    synth_spec_from_dict,
 )
-from .errors import ConfigError, DataFormatError, LidsnError, NumericError, ShapeError
+from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .gradcheck import clear_input_draw, grad_check
 from .network import Model, saliency
 from .params import count_params_flops, load_snapshot, save_snapshot
@@ -42,13 +42,11 @@ from .training import (
     TrainConfig,
     evaluate_model,
     run_protocol,
-    train_config_from_dict,
     weighted_cross_entropy,
 )
 from .viz import format_cell, matrix_csv, save_heatmap, write_csv
 
 _VIZ_STEMS = {"affinity": "sacm", "attention": "tcam", "importance": "omega"}
-_FEATURE_KEYS = ("outer_window_s", "outer_overlap", "inner_window_s", "inner_overlap")
 
 
 def canonical_json(obj) -> str:
@@ -63,28 +61,36 @@ def _finite_or_none(x: float):
 # run config resolution
 
 
-def _expect(value, kind, name):
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class RunConfig:
+    """A run config file; ``model`` stays raw until the data geometry is known."""
 
+    model: dict = field(default_factory=dict)
+    train: TrainConfig = TrainConfig()
+    protocol: str = "CO"
+    align: bool = False
+    features: bool = False
+    feature_args: FeatureArgs = FeatureArgs()
+    n_folds: int = 5
+    train_fraction: float = 0.8
+    seeds: tuple[int, ...] = (0,)
 
-def parse_feature_args(raw: dict) -> dict:
-    unknown = sorted(set(raw) - set(_FEATURE_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown feature_args keys: {', '.join(unknown)}")
-    out = {
-        "outer_window_s": 20.0,
-        "outer_overlap": 0.8,
-        "inner_window_s": 2.0,
-        "inner_overlap": 0.75,
-    }
-    for key in _FEATURE_KEYS:
-        if key in raw:
-            out[key] = _expect(raw[key], float, f"feature_args.{key}")
-    return out
+    def validate(self) -> "RunConfig":
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if self.n_folds < 2:
+            raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
+        return self
+
+    def resolve(self, n_channels: int, n_samples: int, n_classes: int) -> dict:
+        """The canonical dict, with the model section filled in for this geometry."""
+        model = model_config_from_dict(self.model, n_channels=n_channels,
+                                       n_samples=n_samples, n_classes=n_classes)
+        return {**asdict(self), "model": asdict(model)}
 
 
 def resolve_run_config(raw: dict, n_channels: int, n_samples: int, n_classes: int) -> dict:
@@ -93,67 +99,25 @@ def resolve_run_config(raw: dict, n_channels: int, n_samples: int, n_classes: in
     The result is a plain dict that serializes canonically and resolves to
     itself, so --print-config output can be fed back as a config file.
     """
-    known = {"model", "train", "protocol", "align", "features", "feature_args",
-             "n_folds", "train_fraction", "seeds"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
-    model = model_config_from_dict(
-        _expect(raw.get("model", {}), dict, "model"),
-        n_channels=n_channels, n_samples=n_samples, n_classes=n_classes,
-    )
-    train = train_config_from_dict(_expect(raw.get("train", {}), dict, "train"))
-    protocol = _expect(raw.get("protocol", "CO"), str, "protocol")
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    align = _expect(raw.get("align", False), bool, "align")
-    features = _expect(raw.get("features", False), bool, "features")
-    feature_args = parse_feature_args(_expect(raw.get("feature_args", {}), dict, "feature_args"))
-    n_folds = _expect(raw.get("n_folds", 5), int, "n_folds")
-    if n_folds < 2:
-        raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
-    train_fraction = _expect(raw.get("train_fraction", 0.8), float, "train_fraction")
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    seeds = _expect(raw.get("seeds", [0]), list, "seeds")
-    if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigError("seeds must be a non-empty list of integers")
-    return {
-        "align": align,
-        "feature_args": feature_args,
-        "features": features,
-        "model": asdict(model),
-        "n_folds": n_folds,
-        "protocol": protocol,
-        "seeds": list(seeds),
-        "train": asdict(train),
-        "train_fraction": train_fraction,
-    }
+    return from_dict(RunConfig, raw).resolve(n_channels, n_samples, n_classes)
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return raw
 
 
 def _prepare(data_path, config_path):
     """Load epochs, apply the feature stage if configured, resolve the config."""
     raw = _load_json(config_path) if config_path else {}
     epochs = load_epochs(data_path)
-    features = raw.get("features", False)
-    if not isinstance(features, bool):
-        raise ConfigError(f"features must be bool, got {features!r}")
-    if features:
-        fargs = parse_feature_args(_expect(raw.get("feature_args", {}), dict, "feature_args"))
-        epochs = rpsd_features(epochs, **fargs)
-    resolved = resolve_run_config(raw, epochs.n_channels, epochs.n_samples, epochs.n_classes)
-    return epochs, resolved
+    run = from_dict(RunConfig, raw)
+    if run.features:
+        epochs = rpsd_features(epochs, **asdict(run.feature_args))
+    return epochs, run.resolve(epochs.n_channels, epochs.n_samples, epochs.n_classes)
 
 
 def _write_text(path, text: str) -> None:
@@ -299,9 +263,7 @@ def cmd_export_viz(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec()
-    if args.config:
-        spec = synth_spec_from_dict(_load_json(args.config))
+    spec = from_dict(SynthSpec, _load_json(args.config)) if args.config else SynthSpec()
     epochs = synth_generate(spec, args.seed)
     save_epochs(args.out, epochs)
     print(f"wrote {args.out} trials={epochs.n_trials} channels={epochs.n_channels} "
@@ -358,12 +320,8 @@ def cmd_count(args) -> int:
         geometry = (args.channels, args.samples, args.classes)
     else:
         raise ConfigError("count needs --data or all of --channels/--samples/--classes")
-    raw = _load_json(args.config) if args.config else {}
-    model_raw = raw.get("model", {})
-    cfg = model_config_from_dict(
-        model_raw, n_channels=geometry[0], n_samples=geometry[1], n_classes=geometry[2]
-    )
-    params, flops = count_params_flops(cfg)
+    run = from_dict(RunConfig, _load_json(args.config)) if args.config else RunConfig()
+    params, flops = count_params_flops(ModelConfig(**run.resolve(*geometry)["model"]))
     print(f"params={params} flops={flops}")
     return 0
 
@@ -532,10 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="relative band-power features")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--outer-window", type=float, default=20.0)
-    p.add_argument("--outer-overlap", type=float, default=0.8)
-    p.add_argument("--inner-window", type=float, default=2.0)
-    p.add_argument("--inner-overlap", type=float, default=0.75)
+    p.add_argument("--outer-window", type=float, default=FeatureArgs.outer_window_s)
+    p.add_argument("--outer-overlap", type=float, default=FeatureArgs.outer_overlap)
+    p.add_argument("--inner-window", type=float, default=FeatureArgs.inner_window_s)
+    p.add_argument("--inner-overlap", type=float, default=FeatureArgs.inner_overlap)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("split", help="print or save protocol fold indices")

@@ -1,7 +1,9 @@
-"""Model configuration."""
+"""Model configuration and the one strict reader for every config file."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -82,12 +84,15 @@ class ModelConfig:
                 f"need n_channels >= 1, n_samples >= 1, n_classes >= 2; got "
                 f"{self.n_channels}/{self.n_samples}/{self.n_classes}"
             )
+        for name in ("n_heads", "spatial_maps", "temporal_depth", "ffn_expansion",
+                     "classifier_hidden", "pool_window", "pool_stride", "spatial_conv_stride",
+                     "spatial_pool_window", "spatial_pool_stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim < 1 or self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be a positive multiple of n_heads {self.n_heads}"
             )
-        if self.temporal_depth < 1:
-            raise ConfigError(f"temporal_depth must be >= 1, got {self.temporal_depth}")
         if not 0 <= self.spatial_depth <= self.temporal_depth:
             raise ConfigError(
                 f"spatial_depth must lie in [0, temporal_depth]; got "
@@ -95,27 +100,17 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.ffn_expansion < 1:
-            raise ConfigError(f"ffn_expansion must be >= 1, got {self.ffn_expansion}")
         if self.kernel_len < 1 or self.kernel_len % 2 == 0:
             raise ConfigError(f"kernel_len must be odd and >= 1, got {self.kernel_len}")
-        for name in ("pool_window", "pool_stride", "spatial_conv_stride",
-                     "spatial_pool_window", "spatial_pool_stride"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pool_window > self.n_samples:
             raise ConfigError(
                 f"pool_window {self.pool_window} exceeds n_samples {self.n_samples}"
             )
-        if self.n_patches < 1:
-            raise ConfigError("temporal tokenizer would produce zero patches")
         if self.spatial_pool_window > self.spatial_conv_len:
             raise ConfigError(
                 f"spatial_pool_window {self.spatial_pool_window} exceeds conv output "
                 f"length {self.spatial_conv_len}"
             )
-        if self.spatial_patches < 1:
-            raise ConfigError("spatial tokenizer would produce zero pooled windows")
         if self.integration_mode not in INTEGRATION_MODES:
             raise ConfigError(
                 f"integration_mode must be one of {INTEGRATION_MODES}, got {self.integration_mode!r}"
@@ -126,22 +121,51 @@ class ModelConfig:
             )
         if not self.use_tsia and self.integration_mode != "st2t":
             raise ConfigError("use_tsia=false is only defined for integration_mode 'st2t'")
-        if self.classifier_hidden < 1:
-            raise ConfigError(f"classifier_hidden must be >= 1, got {self.classifier_hidden}")
+        if self.fusion_hidden < 0:
+            raise ConfigError(f"fusion_hidden must be >= 0, got {self.fusion_hidden}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
         return self
 
 
+def _read(tp, value, path: str):
+    """Check one JSON value against a field annotation; ints widen to floats."""
+    if is_dataclass(tp):
+        return from_dict(tp, value, path)
+    if typing.get_origin(tp) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_read(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp or tp is float and not math.isfinite(value):
+        name = {dict: "object", tuple: "list", float: "finite float"}.get(
+            typing.get_origin(tp) or tp, tp.__name__)
+        raise ConfigError(f"{path} must be {name}, got {value!r}")
+    return value
+
+
+def from_dict(cls, raw, where: str = "", **overrides):
+    """Build a config dataclass from parsed JSON plus ``overrides``, then validate it.
+
+    Unknown keys, missing required keys and wrong JSON types raise a
+    ConfigError naming the key path (``train.lr``, ``classes[1].freq_hz``).
+    Bools never pass as ints, ints widen to floats, NaN and infinity are
+    rejected, and nested dataclasses and ``tuple[X, ...]`` fields recurse.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be object, got {raw!r}")
+    prefix = f"{where}." if where else ""
+    merged, hints = {**raw, **overrides}, typing.get_type_hints(cls)
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for problem, keys in (("unknown", set(merged) - set(hints)),
+                          ("missing required", required - set(merged))):
+        if keys:
+            names = ", ".join(sorted(prefix + k for k in keys))
+            raise ConfigError(f"{problem} config keys: {names}")
+    obj = cls(**{k: _read(hints[k], v, prefix + k) for k, v in merged.items()})
+    return obj.validate() if hasattr(obj, "validate") else obj
+
+
 def model_config_from_dict(raw: dict, **geometry) -> ModelConfig:
     """Build a validated ModelConfig from a plain dict, rejecting unknown keys."""
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
-    merged = dict(raw)
-    merged.update(geometry)
-    missing = sorted(k for k in ("n_channels", "n_samples", "n_classes") if k not in merged)
-    if missing:
-        raise ConfigError(f"model config missing required keys: {', '.join(missing)}")
-    return ModelConfig(**merged).validate()
+    return from_dict(ModelConfig, raw, "model", **geometry)

@@ -16,7 +16,7 @@ f64 precision because their covariance post-condition is tighter than f32.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class ClassRecipe:
     """One class's oscillation: carrier frequency on a set of channels."""
 
     freq_hz: float
-    channels: tuple
+    channels: tuple[int, ...]
     amplitude: float = 1.0
 
 
@@ -171,7 +171,7 @@ class SynthSpec:
     n_channels: int = 8
     n_samples: int = 512
     fs: float = 128.0
-    classes: tuple = (
+    classes: tuple[ClassRecipe, ...] = (
         ClassRecipe(10.0, (2, 3), 1.0),
         ClassRecipe(22.0, (5, 6), 1.0),
     )
@@ -304,12 +304,22 @@ def _segment_starts(n: int, window: int, hop: int) -> np.ndarray:
     return np.arange(0, n - window + 1, hop, dtype=np.int64)
 
 
+@dataclass(frozen=True)
+class FeatureArgs:
+    """Window lengths in seconds and overlap fractions of the rPSD features."""
+
+    outer_window_s: float = 20.0
+    outer_overlap: float = 0.8
+    inner_window_s: float = 2.0
+    inner_overlap: float = 0.75
+
+
 def rpsd_features(
     epochs: EpochSet,
-    outer_window_s: float = 20.0,
-    outer_overlap: float = 0.8,
-    inner_window_s: float = 2.0,
-    inner_overlap: float = 0.75,
+    outer_window_s: float = FeatureArgs.outer_window_s,
+    outer_overlap: float = FeatureArgs.outer_overlap,
+    inner_window_s: float = FeatureArgs.inner_window_s,
+    inner_overlap: float = FeatureArgs.inner_overlap,
     bands=DEFAULT_BANDS,
 ) -> EpochSet:
     """Relative band power features on sliding windows.
@@ -442,24 +452,3 @@ def make_split(epochs: EpochSet, protocol: str, n_folds: int = 5,
         mask[test] = False
         folds.append((all_idx[mask], test))
     return SplitPlan("LOSO", folds)
-
-
-def synth_spec_from_dict(raw: dict) -> SynthSpec:
-    """Strict SynthSpec parser for config files."""
-    known = {f.name for f in fields(SynthSpec)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown synth spec keys: {', '.join(unknown)}")
-    kwargs = dict(raw)
-    if "classes" in kwargs:
-        recipes = []
-        for i, item in enumerate(kwargs["classes"]):
-            extra = sorted(set(item) - {"freq_hz", "channels", "amplitude"})
-            if extra:
-                raise ConfigError(f"unknown class recipe keys in class {i}: {', '.join(extra)}")
-            if "freq_hz" not in item or "channels" not in item:
-                raise ConfigError(f"class recipe {i} needs freq_hz and channels")
-            recipes.append(ClassRecipe(float(item["freq_hz"]), tuple(item["channels"]),
-                                       float(item.get("amplitude", 1.0))))
-        kwargs["classes"] = tuple(recipes)
-    return SynthSpec(**kwargs).validate()

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import ModelConfig
-from .errors import DataFormatError, ShapeError
+from .errors import DataFormatError
 from .rng import RngStream
 from .tensor import BatchNormState, Tensor
 

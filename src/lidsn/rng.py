@@ -21,29 +21,23 @@ class RngStream:
         self.seed = int(seed)
         self.stream = int(stream)
         self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
-        self.draws = 0  # number of draw calls made so far
 
     def substream(self, stream: int) -> "RngStream":
         """Independent stream under the same seed."""
         return RngStream(self.seed, stream)
 
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
-        self.draws += 1
         return self._gen.uniform(low, high, size=shape)
 
     def normal(self, mean: float, std: float, shape=()) -> np.ndarray:
-        self.draws += 1
         return mean + std * self._gen.standard_normal(size=shape)
 
     def bernoulli(self, p_true: float, shape=()) -> np.ndarray:
         """0/1 float mask with P(1) = p_true."""
-        self.draws += 1
         return (self._gen.random(size=shape) < p_true).astype(np.float64)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        self.draws += 1
         return self._gen.integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.draws += 1
         return self._gen.permutation(n)

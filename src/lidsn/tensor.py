@@ -550,6 +550,22 @@ def _lift(x: Tensor):
     raise ShapeError(f"expected [C, T] or [N, C, T], got {x.shape}")
 
 
+def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
+    """Adjoint of a strided window view: out[..., p * stride + j] sums gwin[..., p, j].
+
+    One add per block of `stride` consecutive taps (a block hits each output
+    once), so every output still sums its taps in ascending order.
+    """
+    *lead, p, k = gwin.shape
+    n_blocks = -(-k // stride)
+    out = np.zeros((*lead, p + n_blocks, stride), dtype=gwin.dtype)
+    for q in range(n_blocks):
+        j = q * stride
+        w = min(stride, k - j)
+        out[..., q : q + p, :w] += gwin[..., j : j + w]
+    return out.reshape(*lead, -1)[..., :length]
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
     """Cross-correlation along time with 'same' zero padding.
 
@@ -587,10 +603,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
         dw = (g2.T @ cols).reshape(w.shape)
         dcols = (g2 @ wmat).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
-        dx_pad = np.zeros_like(xpad)
-        for j in range(k):
-            dx_pad[:, :, j : j + hi : stride] += dcols[..., j]
-        dx = dx_pad[:, :, pad : pad + t]
+        dx = _window_adjoint(dcols, stride, pad + t)[:, :, pad:]
         if squeeze:
             dx = dx[0]
         db = None if b is None else g.sum(axis=(0, 2))
@@ -677,10 +690,7 @@ def avgpool1d(x: Tensor, window: int, stride: int) -> Tensor:
     out = sliding_window_view(x.data, window, axis=-1)[..., :hi:stride, :].sum(-1) / window
 
     def back(g):
-        dx = np.zeros(x.shape, dtype=x.dtype)
-        gw = g / window
-        for j in range(window):
-            dx[..., j : j + hi : stride] += gw
-        return (dx,)
+        gwin = np.broadcast_to((g / window)[..., None], (*g.shape, window))
+        return (_window_adjoint(gwin, stride, t),)
 
     return _record("avgpool1d", out, (x,), back)

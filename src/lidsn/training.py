@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.class_weight_mode not in ("inverse", "uniform"):
             raise ConfigError(
                 f"class_weight_mode must be 'inverse' or 'uniform', got {self.class_weight_mode!r}"
@@ -62,14 +64,6 @@ class TrainConfig:
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         return self
-
-
-def train_config_from_dict(raw: dict) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown training config keys: {', '.join(unknown)}")
-    return TrainConfig(**raw).validate()
 
 
 def class_weights(labels: np.ndarray, n_classes: int, mode: str = "inverse") -> np.ndarray:

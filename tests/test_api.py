@@ -1,7 +1,29 @@
 """Package surface."""
+import ast
+from pathlib import Path
+
 import lidsn
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in lidsn.__all__ if not hasattr(lidsn, name)]
     assert missing == []
+
+
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted(Path(lidsn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used |= set(ast.literal_eval(node.value))  # re-exports count as used
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -266,6 +266,65 @@ def test_bad_config_exits_1(work, capsys):
     assert capsys.readouterr().err.startswith("error[config]:")
 
 
+def _model(**kw):
+    return dict(RUN_CONFIG, model=dict(RUN_CONFIG["model"], **kw))
+
+
+def _train(**kw):
+    return dict(RUN_CONFIG, train=dict(RUN_CONFIG["train"], **kw))
+
+
+def _classes(**kw):
+    return dict(SYNTH_SPEC, classes=[dict(SYNTH_SPEC["classes"][0], **kw),
+                                     SYNTH_SPEC["classes"][1]])
+
+
+# (command, config, key the error must name)
+BAD_CONFIGS = {
+    "lr_str": ("train", _train(lr="fast"), "train.lr"),
+    "embed_dim_str": ("train", _model(embed_dim="40"), "model.embed_dim"),
+    "dropout_null": ("train", _model(dropout=None), "model.dropout"),
+    "use_tsia_int": ("train", _model(use_tsia=0), "model.use_tsia"),
+    "epochs_fraction": ("train", _train(epochs=1.5), "train.epochs"),
+    "epochs_float": ("train", _train(epochs=2.0), "train.epochs"),
+    "model_int_train": ("train", dict(RUN_CONFIG, model=5), "model"),
+    "model_int_count": ("count", {"model": 5}, "model"),
+    "seeds_str": ("train", dict(RUN_CONFIG, seeds="0"), "seeds"),
+    "synth_n_subjects_str": ("synth", dict(SYNTH_SPEC, n_subjects="4"), "n_subjects"),
+    "synth_fs_bool": ("synth", dict(SYNTH_SPEC, fs=True), "fs"),
+    "synth_classes_int": ("synth", dict(SYNTH_SPEC, classes=5), "classes"),
+    "synth_freq_str": ("synth", _classes(freq_hz="a"), "classes[0].freq_hz"),
+    "ln_eps_nan": ("train", _model(ln_eps=float("nan")), "model.ln_eps"),
+    "feature_window_inf": ("train", dict(RUN_CONFIG, features=True,
+                                         feature_args={"outer_window_s": float("inf")}),
+                           "feature_args.outer_window_s"),
+    "top_level_list": ("synth", [SYNTH_SPEC], "config must be object"),
+    "n_heads_zero": ("train", _model(n_heads=0), "n_heads"),
+    "n_heads_negative": ("train", _model(embed_dim=40, n_heads=-4), "n_heads"),
+    "spatial_maps_zero": ("train", _model(spatial_maps=0), "spatial_maps"),
+    "fusion_hidden_negative": ("train", _model(fusion_hidden=-7), "fusion_hidden"),
+    "seeds_negative": ("train", dict(RUN_CONFIG, seeds=[-1]), "seeds"),
+    "train_seed_negative": ("train", _train(seed=-1), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_names_the_key(work, capsys, case):
+    command, config, key = BAD_CONFIGS[case]
+    cfg = work["root"] / f"bad-{case}.json"
+    cfg.write_text(json.dumps(config))
+    argv = {
+        "train": ["train", "--data", str(work["data"]), "--out", str(work["root"] / "x"),
+                  "--print-config"],
+        "count": ["count", "--channels", "22", "--samples", "1000", "--classes", "2"],
+        "synth": ["synth", "--out", str(work["root"] / "x.eegb")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[config]:") and key in err, err
+
+
 def test_snapshot_geometry_mismatch_exits_2(work, capsys):
     cfg = work["root"] / "deeper.json"
     deeper = dict(RUN_CONFIG)

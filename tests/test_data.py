@@ -19,8 +19,8 @@ from lidsn.data import (
     rpsd_features,
     save_epochs,
     synth_generate,
-    synth_spec_from_dict,
 )
+from lidsn.config import from_dict
 from lidsn.errors import ConfigError, DataFormatError, NumericError
 
 HEADER = struct.Struct("<4sHIHIfH")
@@ -238,7 +238,7 @@ def test_synth_spec_validation():
 
 
 def test_synth_spec_from_dict_roundtrip():
-    spec = synth_spec_from_dict({
+    spec = from_dict(SynthSpec, {
         "n_subjects": 3,
         "classes": [{"freq_hz": 9.0, "channels": [1]},
                     {"freq_hz": 20.0, "channels": [2], "amplitude": 0.5}],
@@ -246,9 +246,9 @@ def test_synth_spec_from_dict_roundtrip():
     assert spec.n_subjects == 3
     assert spec.classes[1].amplitude == 0.5
     with pytest.raises(ConfigError):
-        synth_spec_from_dict({"bogus": 1})
+        from_dict(SynthSpec, {"bogus": 1})
     with pytest.raises(ConfigError):
-        synth_spec_from_dict({"classes": [{"freq_hz": 9.0}]})
+        from_dict(SynthSpec, {"classes": [{"freq_hz": 9.0}]})
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,22 @@ def naive_avgpool(x, window, stride):
     return np.stack([x[..., stride * i : stride * i + window].mean(-1) for i in range(p)], axis=-1)
 
 
+def tap_loop_adjoint(gwin, stride, length):
+    """Loop oracle: scatter-add window gradients [..., P, K] one tap at a time."""
+    p, k = gwin.shape[-2:]
+    out = np.zeros(gwin.shape[:-2] + (length,))
+    for j in range(k):
+        out[..., j : j + stride * (p - 1) + 1 : stride] += gwin[..., j]
+    return out
+
+
+def input_grad(op, x, g):
+    """Gradient of op at x for the upstream gradient g."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        return backward(tz.reduce_sum(tz.mul(op(xt), Tensor(g))), tape)[xt]
+
+
 def test_conv1d_forward_oracle():
     x, w, b = rnd(2, 3, 9, seed=12), rnd(4, 3, 3, seed=13), rnd(4, seed=14)
     expected = naive_conv1d(x, w, b, 2)
@@ -476,6 +492,12 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
     w, b = r.normal(0.0, 1.0, (cout, cin, k)), r.normal(0.0, 1.0, (cout,))
     out = tz.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
     assert np.allclose(out, naive_conv1d(x, w, b, stride), rtol=0, atol=1e-12)
+    g = r.normal(0.0, 1.0, out.shape)
+    dx = input_grad(lambda xt: tz.conv1d(xt, Tensor(w), Tensor(b), stride=stride), x, g)
+    t_out = out.shape[-1]
+    dcols = g.transpose(0, 2, 1).reshape(n * t_out, cout) @ w.reshape(cout, cin * k)
+    dcols = dcols.reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
+    assert np.array_equal(dx, tap_loop_adjoint(dcols, stride, t + k - 1)[..., half_k : half_k + t])
     wd = r.normal(0.0, 1.0, (cin, k))
     out = tz.conv1d_depthwise(Tensor(x), Tensor(wd)).data
     assert np.allclose(out, naive_depthwise(x, wd), rtol=0, atol=1e-12)
@@ -483,6 +505,10 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
     pool_stride = 1 + seed % (window + 2)
     out = tz.avgpool1d(Tensor(x), window, pool_stride).data
     assert np.allclose(out, naive_avgpool(x, window, pool_stride), rtol=0, atol=1e-12)
+    g = r.normal(0.0, 1.0, out.shape)
+    dx = input_grad(lambda xt: tz.avgpool1d(xt, window, pool_stride), x, g)
+    gwin = np.broadcast_to((g / window)[..., None], g.shape + (window,))
+    assert np.array_equal(dx, tap_loop_adjoint(gwin, pool_stride, t))
 
 
 # ---------------------------------------------------------------------------

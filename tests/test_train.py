@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidsn.config import ModelConfig
+from lidsn.config import ModelConfig, from_dict
 from lidsn.data import ClassRecipe, EpochSet, SynthSpec, synth_generate
 from lidsn.errors import ConfigError, NumericError
 from lidsn.gradcheck import grad_check
@@ -22,7 +22,6 @@ from lidsn.training import (
     metrics_from_confusion,
     run_protocol,
     thread_budget,
-    train_config_from_dict,
     train_model,
     validation_tail,
     weighted_cross_entropy,
@@ -314,11 +313,11 @@ def test_train_config_validation_and_parsing():
     with pytest.raises(ConfigError, match="batchnorm"):
         TrainConfig(batch_size=1).validate()
     with pytest.raises(ConfigError):
-        train_config_from_dict({"lr": 0.01, "bogus": 1})
-    cfg = train_config_from_dict({"lr": 0.01, "epochs": 30})
+        from_dict(TrainConfig, {"lr": 0.01, "bogus": 1})
+    cfg = from_dict(TrainConfig, {"lr": 0.01, "epochs": 30})
     assert cfg.lr == 0.01 and cfg.epochs == 30 and cfg.patience == 20
     with pytest.raises(ConfigError):
-        train_config_from_dict({"epochs": 5})  # default patience 20 exceeds it
+        from_dict(TrainConfig, {"epochs": 5})  # default patience 20 exceeds it
 
 
 # ---------------------------------------------------------------------------
