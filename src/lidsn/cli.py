@@ -86,10 +86,13 @@ class RunConfig:
             raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
         return self
 
-    def resolve(self, n_channels: int, n_samples: int, n_classes: int) -> dict:
-        """The canonical dict, with the model section filled in for this geometry."""
-        model = model_config_from_dict(self.model, n_channels=n_channels,
-                                       n_samples=n_samples, n_classes=n_classes)
+    def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
+        """The model section, filled in for this data geometry and validated."""
+        return model_config_from_dict(self.model, n_channels=n_channels,
+                                      n_samples=n_samples, n_classes=n_classes)
+
+    def canonical(self, model: ModelConfig) -> dict:
+        """The canonical dict, with the model section replaced by the resolved one."""
         return {**asdict(self), "model": asdict(model)}
 
 
@@ -99,7 +102,8 @@ def resolve_run_config(raw: dict, n_channels: int, n_samples: int, n_classes: in
     The result is a plain dict that serializes canonically and resolves to
     itself, so --print-config output can be fed back as a config file.
     """
-    return from_dict(RunConfig, raw).resolve(n_channels, n_samples, n_classes)
+    run = from_dict(RunConfig, raw)
+    return run.canonical(run.model_config(n_channels, n_samples, n_classes))
 
 
 def _load_json(path):
@@ -111,13 +115,17 @@ def _load_json(path):
 
 
 def _prepare(data_path, config_path):
-    """Load epochs, apply the feature stage if configured, resolve the config."""
+    """Load epochs and apply the feature stage if configured.
+
+    Returns the epochs, the validated run config and its model config
+    resolved for the epochs' geometry.
+    """
     raw = _load_json(config_path) if config_path else {}
     epochs = load_epochs(data_path)
     run = from_dict(RunConfig, raw)
     if run.features:
         epochs = rpsd_features(epochs, **asdict(run.feature_args))
-    return epochs, run.resolve(epochs.n_channels, epochs.n_samples, epochs.n_classes)
+    return epochs, run, run.model_config(epochs.n_channels, epochs.n_samples, epochs.n_classes)
 
 
 def _write_text(path, text: str) -> None:
@@ -130,15 +138,14 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_train(args) -> int:
-    epochs, resolved = _prepare(args.data, args.config)
+    epochs, run, model_cfg = _prepare(args.data, args.config)
+    resolved = run.canonical(model_cfg)
     if args.print_config:
         sys.stdout.write(canonical_json(resolved))
         return 0
-    model_cfg = ModelConfig(**resolved["model"]).validate()
     result = run_protocol(
-        epochs, resolved["protocol"], model_cfg, TrainConfig(**resolved["train"]).validate(),
-        align=resolved["align"], n_folds=resolved["n_folds"],
-        train_fraction=resolved["train_fraction"], seeds=resolved["seeds"],
+        epochs, run.protocol, model_cfg, run.train, align=run.align, n_folds=run.n_folds,
+        train_fraction=run.train_fraction, seeds=run.seeds,
     )
     jobs = result["folds"]
     params, flops = count_params_flops(model_cfg)
@@ -197,17 +204,16 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(args) -> tuple:
-    epochs, resolved = _prepare(args.data, args.config)
-    if resolved["align"]:
+    epochs, run, cfg = _prepare(args.data, args.config)
+    if run.align:
         epochs = euclidean_align(epochs)
-    cfg = ModelConfig(**resolved["model"]).validate()
     model = Model.build(cfg, seed=0)
     model.params.load_values(load_snapshot(args.model), dtype=cfg.np_dtype)
-    return epochs, resolved, model
+    return epochs, model
 
 
 def cmd_eval(args) -> int:
-    epochs, _, model = _restore_model(args)
+    epochs, model = _restore_model(args)
     x = epochs.data.astype(model.cfg.np_dtype)
     metrics = evaluate_model(model, x, epochs.labels)
     print(f"acc={format_cell(metrics['accuracy'])} "
@@ -226,7 +232,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_viz(args) -> int:
-    epochs, _, model = _restore_model(args)
+    epochs, model = _restore_model(args)
     if not 0 <= args.trial < epochs.n_trials:
         raise ConfigError(f"trial {args.trial} out of range [0, {epochs.n_trials})")
     x = epochs.data[args.trial : args.trial + 1].astype(model.cfg.np_dtype)
@@ -262,7 +268,13 @@ def cmd_export_viz(args) -> int:
 # data utilities
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_synth(args) -> int:
+    _check_seed(args.seed)
     spec = from_dict(SynthSpec, _load_json(args.config)) if args.config else SynthSpec()
     epochs = synth_generate(spec, args.seed)
     save_epochs(args.out, epochs)
@@ -293,9 +305,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_split(args) -> int:
-    epochs = load_epochs(args.data)
-    plan = make_split(epochs, args.protocol, n_folds=args.n_folds,
-                      train_fraction=args.train_fraction)
+    run = RunConfig(protocol=args.protocol, n_folds=args.n_folds,
+                    train_fraction=args.train_fraction).validate()
+    plan = make_split(load_epochs(args.data), run.protocol, n_folds=run.n_folds,
+                      train_fraction=run.train_fraction)
     payload = {
         "protocol": plan.protocol,
         "folds": [
@@ -321,7 +334,7 @@ def cmd_count(args) -> int:
     else:
         raise ConfigError("count needs --data or all of --channels/--samples/--classes")
     run = from_dict(RunConfig, _load_json(args.config)) if args.config else RunConfig()
-    params, flops = count_params_flops(ModelConfig(**run.resolve(*geometry)["model"]))
+    params, flops = count_params_flops(run.model_config(*geometry))
     print(f"params={params} flops={flops}")
     return 0
 
@@ -404,6 +417,9 @@ def _composite_config() -> ModelConfig:
 
 
 def cmd_grad_check(args) -> int:
+    _check_seed(args.seed)
+    if args.max_coords < 1:
+        raise ConfigError(f"--max-coords must be >= 1, got {args.max_coords}")
     worst_overall = 0.0
     failures = []
     for name, fn, inputs in _battery(args.seed):

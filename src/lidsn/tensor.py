@@ -293,13 +293,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    # exact Gaussian-CDF form: x * Phi(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    # exact Gaussian-CDF form: x * Phi(x), with Phi = 0.5 * (1 + erf(x / sqrt(2)))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x.data * cdf
 
     def back(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        # g * (Phi(x) + x * phi(x)), one scratch array
+        d = x.data * x.data
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x.data
+        d += cdf
+        d *= g
+        return (d,)
 
     return _record("gelu", out, (x,), back)
 
@@ -498,39 +508,47 @@ def batchnorm(
     f = x.shape[1]
     if gain.shape != (f,) or bias.shape != (f,):
         raise ShapeError(f"batchnorm affine shapes {gain.shape}/{bias.shape} do not match F={f}")
-    axes = (0,) if x.ndim == 2 else (0, 2)
     shape_f = (1, f) if x.ndim == 2 else (1, f, 1)
+    dims = "nf" if x.ndim == 2 else "nfl"  # einsum subscripts of x
     if training:
         if x.shape[0] < 2:
             raise ShapeError("batchnorm: train mode needs batch size >= 2")
-        mu = np.mean(x.data, axis=axes)
-        xc = x.data - mu.reshape(shape_f)
-        var = np.mean(xc * xc, axis=axes)
+        n_red = x.data.size // f
+        # two passes: the sum, then the sum of squares of the centered copy,
+        # which is normalized and given its affine in place
+        mu = np.einsum(f"{dims}->f", x.data) / n_red
+        xhat = x.data - mu.reshape(shape_f)
+        var = np.einsum(f"{dims},{dims}->f", xhat, xhat) / n_red
         state.mean = (1.0 - momentum) * state.mean + momentum * mu
         state.var = (1.0 - momentum) * state.var + momentum * var
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = xc * inv.reshape(shape_f)
-        out = xhat * gain.data.reshape(shape_f) + bias.data.reshape(shape_f)
-        n_red = x.data.size // f
+        xhat *= inv.reshape(shape_f)
+        out = xhat * gain.data.reshape(shape_f)
+        out += bias.data.reshape(shape_f)
 
         def back(g):
-            dgain = np.sum(g * xhat, axis=axes)
-            dbias = np.sum(g, axis=axes)
-            dxhat = g * gain.data.reshape(shape_f)
-            s1 = np.sum(dxhat, axis=axes).reshape(shape_f)
-            s2 = np.sum(dxhat * xhat, axis=axes).reshape(shape_f)
-            dx = inv.reshape(shape_f) * (dxhat - s1 / n_red - xhat * s2 / n_red)
+            dgain = np.einsum(f"{dims},{dims}->f", g, xhat)
+            dbias = np.einsum(f"{dims}->f", g)
+            # dx = inv * gain * (g - dbias / n - xhat * dgain / n)
+            dx = xhat * (-dgain / n_red).reshape(shape_f)
+            dx += g
+            dx -= (dbias / n_red).reshape(shape_f)
+            dx *= (inv * gain.data).reshape(shape_f)
             return dx, dgain, dbias
 
         return _record("batchnorm", out, (x, gain, bias), back)
 
-    inv = 1.0 / np.sqrt(state.var + eps)
-    xhat = (x.data - state.mean.reshape(shape_f)) * inv.reshape(shape_f)
-    out = xhat * gain.data.reshape(shape_f) + bias.data.reshape(shape_f)
+    mean, inv = state.mean, 1.0 / np.sqrt(state.var + eps)
+    # one array, normalized in place: eval batches are the largest ones
+    out = x.data - mean.reshape(shape_f)
+    out *= inv.reshape(shape_f)
+    out *= gain.data.reshape(shape_f)
+    out += bias.data.reshape(shape_f)
 
     def back(g):
-        dgain = np.sum(g * xhat, axis=axes)
-        dbias = np.sum(g, axis=axes)
+        xhat = (x.data - mean.reshape(shape_f)) * inv.reshape(shape_f)
+        dgain = np.einsum(f"{dims},{dims}->f", g, xhat)
+        dbias = np.einsum(f"{dims}->f", g)
         dx = g * (gain.data * inv).reshape(shape_f)
         return dx, dgain, dbias
 
@@ -566,6 +584,12 @@ def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
     return out.reshape(*lead, -1)[..., :length]
 
 
+def _taps(win: np.ndarray) -> np.ndarray:
+    """Window view [N, Cin, T_out, K] copied to one row of taps per output step."""
+    n, cin, t_out, k = win.shape
+    return win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
     """Cross-correlation along time with 'same' zero padding.
 
@@ -587,11 +611,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     t_out = (t - 1) // stride + 1
     xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
     hi = stride * (t_out - 1) + 1
-    # one row of taps per output step: [N * T_out, Cin * K]
     win = sliding_window_view(xpad, k, axis=2)[:, :, :hi:stride]
-    cols = win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
     wmat = w.data.reshape(cout, cin * k)
-    out = np.ascontiguousarray((cols @ wmat.T).reshape(n, t_out, cout).transpose(0, 2, 1))
+    if cin == 1:
+        # the view already holds one row of taps per output step: no copy
+        out = np.matmul(wmat, win[:, 0].transpose(0, 2, 1))
+    else:
+        out = np.ascontiguousarray((_taps(win) @ wmat.T).reshape(n, t_out, cout).transpose(0, 2, 1))
     if b is not None:
         if b.shape != (cout,):
             raise ShapeError(f"conv1d bias shape {b.shape} != ({cout},)")
@@ -601,7 +627,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         if squeeze:
             g = g[None]
         g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
-        dw = (g2.T @ cols).reshape(w.shape)
+        dw = (g2.T @ _taps(win)).reshape(w.shape)
         dcols = (g2 @ wmat).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
         dx = _window_adjoint(dcols, stride, pad + t)[:, :, pad:]
         if squeeze:
@@ -641,10 +667,60 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record("conv1d_pointwise", out[0] if squeeze else out, inputs, back)
 
 
+_BLOCK = 32  # L, the output samples per block of the banded depthwise matmul
+
+
+def _depthwise_blocks(xd: np.ndarray, k: int) -> np.ndarray:
+    """'Same'-padded [N, C, T] as overlapping channel-major blocks [C, N * nb, L + K - 1].
+
+    Block (n, b) of channel c holds the padded samples that outputs
+    b * L .. b * L + L - 1 read; T is zero-padded up to nb * L outputs.
+    """
+    n, c, t = xd.shape
+    nb = -(-t // _BLOCK)
+    xp = np.zeros((c, n, nb * _BLOCK + k - 1), dtype=xd.dtype)
+    xp[:, :, k // 2 : k // 2 + t] = xd.transpose(1, 0, 2)
+    win = sliding_window_view(xp, _BLOCK + k - 1, axis=2)[:, :, ::_BLOCK]
+    return win.reshape(c, n * nb, _BLOCK + k - 1)
+
+
+def _depthwise_apply(xd: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-channel 'same' cross-correlation of [N, C, T] with taps w [C, K]: [N, C, T].
+
+    band[c, i, l] = w[c, i - l] (zero off the band) is a window view of the
+    reversed taps between zeros, so no index arrays are built.
+    """
+    n, c, t = xd.shape
+    k = w.shape[1]
+    z = np.zeros((c, k + 2 * (_BLOCK - 1)), dtype=w.dtype)
+    z[:, _BLOCK - 1 : _BLOCK - 1 + k] = w[:, ::-1]
+    band = sliding_window_view(z, _BLOCK, axis=1)[:, ::-1]
+    # the blocks die with the matmul, before the copy back to [N, C, T]
+    out = np.matmul(_depthwise_blocks(xd, k), band).reshape(c, n, -1)[:, :, :t]
+    return np.ascontiguousarray(out.transpose(1, 0, 2))
+
+
+def _depthwise_weight_grad(xd: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """dw[c, j] = sum over n, t of g[n, c, t] * xpad[n, c, t + j]: [C, K].
+
+    The sums are the K diagonals of blocks^T @ g_blocks. The blocks are
+    rebuilt here rather than held on the tape, where they would cost
+    (L + K - 1) / L times the input (1.75x at K = 25) for the whole step.
+    """
+    n, c, t = g.shape
+    blocks = _depthwise_blocks(xd, k)
+    gb = np.zeros((c, n, blocks.shape[1] // n * _BLOCK), dtype=g.dtype)
+    gb[:, :, :t] = g.transpose(1, 0, 2)
+    prod = np.matmul(blocks.transpose(0, 2, 1), gb.reshape(c, -1, _BLOCK))
+    return np.diagonal(sliding_window_view(prod, k, axis=1), axis1=1, axis2=2).sum(-1)
+
+
 def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Per-channel temporal kernel with 'same' zero padding.
 
-    x: [N, C, T] (or [C, T]), w: [C, K] with K odd, b: [C].
+    x: [N, C, T] (or [C, T]), w: [C, K] with K odd, b: [C]. Each channel is
+    one batched matmul of overlapping input blocks against a banded Toeplitz
+    matrix of its taps.
     """
     xd, squeeze = _lift(x)
     if w.ndim != 2:
@@ -654,21 +730,18 @@ def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"depthwise kernel length must be odd, got {k}")
     if xd.shape[1] != c:
         raise ShapeError(f"depthwise: input channels {xd.shape[1]} != kernel C {c}")
-    pad = k // 2
-    win = sliding_window_view(np.pad(xd, ((0, 0), (0, 0), (pad, pad))), k, axis=2)
-    out = np.einsum("nctk,ck->nct", win, w.data)
+    out = _depthwise_apply(xd, w.data)
     if b is not None:
         if b.shape != (c,):
             raise ShapeError(f"depthwise bias shape {b.shape} != ({c},)")
-        out = out + b.data[:, None]
+        out += b.data[:, None]
 
     def back(g):
         if squeeze:
             g = g[None]
-        dw = np.einsum("nct,nctk->ck", g, win)
+        dw = _depthwise_weight_grad(xd, g, k)
         # the input gradient correlates the padded g with the reversed taps
-        gwin = sliding_window_view(np.pad(g, ((0, 0), (0, 0), (pad, pad))), k, axis=2)
-        dx = np.einsum("nctk,ck->nct", gwin, np.ascontiguousarray(w.data[:, ::-1]))
+        dx = _depthwise_apply(g, w.data[:, ::-1])
         if squeeze:
             dx = dx[0]
         db = None if b is None else g.sum(axis=(0, 2))

@@ -325,6 +325,30 @@ def test_bad_config_names_the_key(work, capsys, case):
     assert err.count("\n") == 1 and err.startswith("error[config]:") and key in err, err
 
 
+# (argv with {data}/{root} placeholders, text the error must name)
+BAD_FLAGS = {
+    "synth_seed_negative": (["synth", "--out", "{root}/x.eegb", "--seed", "-1"], "--seed"),
+    "grad_check_seed_negative": (["grad-check", "--seed", "-1"], "--seed"),
+    "grad_check_max_coords_zero": (["grad-check", "--max-coords", "0"], "--max-coords"),
+    "split_n_folds_zero": (["split", "--data", "{data}", "--protocol", "CV", "--n-folds", "0"],
+                           "n_folds"),
+    "split_n_folds_one": (["split", "--data", "{data}", "--protocol", "CV", "--n-folds", "1"],
+                          "n_folds"),
+    "split_train_fraction_above_one": (["split", "--data", "{data}", "--protocol", "CO",
+                                        "--train-fraction", "1.5"], "train_fraction"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flag_names_the_flag(work, capsys, case):
+    argv, key = BAD_FLAGS[case]
+    argv = [a.format(data=work["data"], root=work["root"]) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[config]:") and key in err, err
+
+
 def test_snapshot_geometry_mismatch_exits_2(work, capsys):
     cfg = work["root"] / "deeper.json"
     deeper = dict(RUN_CONFIG)

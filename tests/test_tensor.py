@@ -1,7 +1,7 @@
 """Tensor engine: forward oracles, backward checks, tape semantics, errors."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -94,6 +94,18 @@ def naive_depthwise(x, w):
     return expected
 
 
+def tap_loop_depthwise_grads(x, w, g):
+    """Loop oracle: depthwise input and weight gradients for the upstream g, one tap at a time."""
+    t, k = x.shape[-1], w.shape[1]
+    pad = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2)))
+    dpad = np.zeros(pad.shape)
+    dw = np.zeros(w.shape)
+    for j in range(k):
+        dpad[:, :, j : j + t] += g * w[None, :, j, None]
+        dw[:, j] = (g * pad[:, :, j : j + t]).sum(axis=(0, 2))
+    return dpad[:, :, k // 2 : k // 2 + t], dw
+
+
 def naive_avgpool(x, window, stride):
     """Loop oracle: mean over each window along the last axis."""
     p = (x.shape[-1] - window) // stride + 1
@@ -181,6 +193,28 @@ def test_batchnorm_eval_uses_running_stats():
                        False, 0.1, 1e-5)
     expected = (x - state.mean) / np.sqrt(state.var + 1e-5)
     assert np.allclose(out.data, expected, atol=1e-13)
+
+
+def test_batchnorm_train_2d_matches_numpy_reference():
+    # an offset far above the spread: the variance must not lose digits to it
+    r = RngStream(29, 54)
+    x = 50.0 + r.normal(0.0, 1.0, (7, 4))
+    gain, bias, g = r.normal(0.0, 1.0, (4,)), r.normal(0.0, 1.0, (4,)), r.normal(0.0, 1.0, (7, 4))
+    state = BatchNormState(4, np.float64)
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+    with Tape() as tape:
+        out = tz.batchnorm(xt, gt, bt, state, True, 0.1, 1e-5)
+        grads = backward(tz.reduce_sum(tz.mul(out, Tensor(g))), tape)
+    mu, var = x.mean(0), x.var(0)
+    xhat = (x - mu) / np.sqrt(var + 1e-5)
+    assert np.allclose(out.data, xhat * gain + bias, rtol=0, atol=1e-12)
+    assert np.allclose(state.mean, 0.1 * mu, rtol=0, atol=1e-12)
+    assert np.allclose(state.var, 0.9 + 0.1 * var, rtol=0, atol=1e-12)
+    dxhat = g * gain
+    dx = (dxhat - dxhat.mean(0) - xhat * (dxhat * xhat).mean(0)) / np.sqrt(var + 1e-5)
+    assert np.allclose(grads[xt], dx, rtol=0, atol=1e-12)
+    assert np.allclose(grads[gt], (g * xhat).sum(0), rtol=0, atol=1e-12)
+    assert np.allclose(grads[bt], g.sum(0), rtol=0, atol=1e-12)
 
 
 def test_batchnorm_channelled_layout():
@@ -511,6 +545,37 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
     assert np.array_equal(dx, tap_loop_adjoint(gwin, pool_stride, t))
 
 
+@given(
+    n=st.integers(1, 3), c=st.integers(1, 3), t=st.integers(1, 80), half_k=st.integers(0, 20),
+    two_d=st.booleans(), f32=st.booleans(), seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+@example(n=2, c=3, t=75, half_k=12, two_d=False, f32=False, seed=1)  # T = 2 * 32 + 11
+@example(n=2, c=2, t=4, half_k=6, two_d=False, f32=False, seed=2)  # T < K
+@example(n=3, c=2, t=40, half_k=0, two_d=False, f32=False, seed=3)  # K = 1
+@example(n=1, c=3, t=70, half_k=20, two_d=False, f32=False, seed=4)  # B = 1, K - 1 > 32
+@example(n=1, c=2, t=50, half_k=3, two_d=True, f32=False, seed=5)  # [C, T]
+@example(n=2, c=3, t=64, half_k=12, two_d=False, f32=True, seed=6)
+def test_banded_depthwise_matches_tap_loops(n, c, t, half_k, two_d, f32, seed):
+    k = 2 * half_k + 1
+    n = 1 if two_d else n
+    dtype = np.float32 if f32 else np.float64
+    r = RngStream(seed, 65)
+    x, w, g = (r.normal(0.0, 1.0, shape).astype(dtype) for shape in ((n, c, t), (c, k), (n, c, t)))
+    x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
+    xt, wt = Tensor(x[0] if two_d else x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape() as tape:
+        out = tz.conv1d_depthwise(xt, wt)
+        grads = backward(tz.reduce_sum(tz.mul(out, Tensor(g[0] if two_d else g))), tape)
+    dx, dw = tap_loop_depthwise_grads(x64, w64, g64)
+    lead = (lambda a: a[0]) if two_d else (lambda a: a)
+    tol = 1e-12 if dtype == np.float64 else 1e-4
+    for got, want in ((out.data, lead(naive_depthwise(x64, w64))), (grads[xt], lead(dx)),
+                      (grads[wt], dw)):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.allclose(got, want, rtol=tol, atol=tol)
+
+
 # ---------------------------------------------------------------------------
 # float32
 
@@ -529,10 +594,17 @@ def _float32_cases():
         "conv_depthwise": (lambda ts: tz.conv1d_depthwise(ts[0], ts[1], ts[2]),
                            [t(3, 4, 20), t(4, 9), t(4)]),
         "avgpool": (lambda ts: tz.avgpool1d(ts[0], 5, 5), [t(3, 4, 20)]),
+        "batchnorm": (lambda ts: tz.batchnorm(ts[0], ts[1], ts[2], BatchNormState(4, np.float32),
+                                              True),
+                      [t(3, 4, 20), t(4), t(4)]),
+        "gelu": (lambda ts: tz.gelu(ts[0]), [t(3, 4, 20)]),
     }
 
 
-@pytest.mark.parametrize("name", ["conv1d", "conv_pointwise", "conv_depthwise", "avgpool"])
+FLOAT32_KERNELS = ["conv1d", "conv_pointwise", "conv_depthwise", "avgpool", "batchnorm", "gelu"]
+
+
+@pytest.mark.parametrize("name", FLOAT32_KERNELS)
 def test_float32_kernels_stay_float32(name):
     fn, inputs = _float32_cases()[name]
     with Tape() as tape:
@@ -543,10 +615,19 @@ def test_float32_kernels_stay_float32(name):
         assert grads[x].dtype == np.float32, name
 
 
-@pytest.mark.parametrize("name", ["conv1d", "conv_pointwise", "conv_depthwise", "avgpool"])
+@pytest.mark.parametrize("name", FLOAT32_KERNELS)
 def test_float32_forward_matches_float64(name):
     fn, inputs = _float32_cases()[name]
     out32 = fn(inputs).data
     out64 = fn([Tensor(x.data.astype(np.float64)) for x in inputs]).data
     assert out64.dtype == np.float64
     assert np.allclose(out32, out64, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", FLOAT32_KERNELS)
+def test_float32_gradients(name):
+    # float32 rounds the summed loss to about 1e-7 of its size, which a step of
+    # 1e-2 turns into up to about 1e-3 of the gradient; the float64 battery's
+    # 1e-6 would only measure that rounding
+    fn, inputs = _float32_cases()[name]
+    assert grad_check(lambda ts: weighted_sum(fn(ts)), inputs, eps=1e-2) < 1e-2
