@@ -584,12 +584,6 @@ def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
     return out.reshape(*lead, -1)[..., :length]
 
 
-def _taps(win: np.ndarray) -> np.ndarray:
-    """Window view [N, Cin, T_out, K] copied to one row of taps per output step."""
-    n, cin, t_out, k = win.shape
-    return win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
     """Cross-correlation along time with 'same' zero padding.
 
@@ -612,23 +606,23 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
     hi = stride * (t_out - 1) + 1
     win = sliding_window_view(xpad, k, axis=2)[:, :, :hi:stride]
-    wmat = w.data.reshape(cout, cin * k)
-    if cin == 1:
-        # the view already holds one row of taps per output step: no copy
-        out = np.matmul(wmat, win[:, 0].transpose(0, 2, 1))
-    else:
-        out = np.ascontiguousarray((_taps(win) @ wmat.T).reshape(n, t_out, cout).transpose(0, 2, 1))
+    # one matmul per input channel straight on the window view: no copy of the taps
+    out = np.matmul(w.data[:, 0], win[:, 0].transpose(0, 2, 1))
+    for i in range(1, cin):
+        out += np.matmul(w.data[:, i], win[:, i].transpose(0, 2, 1))
     if b is not None:
         if b.shape != (cout,):
             raise ShapeError(f"conv1d bias shape {b.shape} != ({cout},)")
-        out = out + b.data[:, None]
+        out += b.data[:, None]
 
     def back(g):
         if squeeze:
             g = g[None]
         g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
-        dw = (g2.T @ _taps(win)).reshape(w.shape)
-        dcols = (g2 @ wmat).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
+        # the window view copied to one row of taps per output step
+        cols = win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
+        dw = (g2.T @ cols).reshape(w.shape)
+        dcols = (g2 @ w.data.reshape(cout, cin * k)).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
         dx = _window_adjoint(dcols, stride, pad + t)[:, :, pad:]
         if squeeze:
             dx = dx[0]
@@ -668,6 +662,7 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 _BLOCK = 32  # L, the output samples per block of the banded depthwise matmul
+_CHUNK = 32  # trials per banded matmul: bounds the (L + K - 1) / L blocks copy
 
 
 def _depthwise_blocks(xd: np.ndarray, k: int) -> np.ndarray:
@@ -695,9 +690,12 @@ def _depthwise_apply(xd: np.ndarray, w: np.ndarray) -> np.ndarray:
     z = np.zeros((c, k + 2 * (_BLOCK - 1)), dtype=w.dtype)
     z[:, _BLOCK - 1 : _BLOCK - 1 + k] = w[:, ::-1]
     band = sliding_window_view(z, _BLOCK, axis=1)[:, ::-1]
-    # the blocks die with the matmul, before the copy back to [N, C, T]
-    out = np.matmul(_depthwise_blocks(xd, k), band).reshape(c, n, -1)[:, :, :t]
-    return np.ascontiguousarray(out.transpose(1, 0, 2))
+    nb = -(-t // _BLOCK)
+    out = np.empty((n, c, t), dtype=np.result_type(xd, w))
+    for i in range(0, n, _CHUNK):
+        part = np.matmul(_depthwise_blocks(xd[i : i + _CHUNK], k), band)
+        out[i : i + _CHUNK] = part.reshape(c, -1, nb * _BLOCK)[:, :, :t].transpose(1, 0, 2)
+    return out
 
 
 def _depthwise_weight_grad(xd: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:

@@ -556,6 +556,7 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
 @example(n=1, c=3, t=70, half_k=20, two_d=False, f32=False, seed=4)  # B = 1, K - 1 > 32
 @example(n=1, c=2, t=50, half_k=3, two_d=True, f32=False, seed=5)  # [C, T]
 @example(n=2, c=3, t=64, half_k=12, two_d=False, f32=True, seed=6)
+@example(n=70, c=2, t=40, half_k=12, two_d=False, f32=False, seed=7)  # N > 32: three batch chunks
 def test_banded_depthwise_matches_tap_loops(n, c, t, half_k, two_d, f32, seed):
     k = 2 * half_k + 1
     n = 1 if two_d else n
