@@ -214,7 +214,7 @@ def _restore_model(args) -> tuple:
 
 def cmd_eval(args) -> int:
     epochs, model = _restore_model(args)
-    x = epochs.data.astype(model.cfg.np_dtype)
+    x = epochs.data.astype(model.cfg.np_dtype, copy=False)
     metrics = evaluate_model(model, x, epochs.labels)
     print(f"acc={format_cell(metrics['accuracy'])} "
           f"macro_f1={format_cell(metrics['macro_f1'])}")

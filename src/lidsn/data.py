@@ -331,6 +331,8 @@ def rpsd_features(
     """
     if not bands:
         raise ConfigError("band set must not be empty")
+    if epochs.n_trials == 0:
+        raise ConfigError("cannot compute features of an empty epoch set")
     if not 0.0 <= outer_overlap < 1.0 or not 0.0 <= inner_overlap < 1.0:
         raise ConfigError("overlaps must lie in [0, 1)")
     fs = epochs.fs
@@ -406,6 +408,8 @@ def make_split(epochs: EpochSet, protocol: str, n_folds: int = 5,
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    if epochs.n_trials == 0:
+        raise ConfigError("cannot split an empty epoch set")
     subj_ids = np.unique(epochs.subjects)
     by_subject = {s: np.where(epochs.subjects == s)[0] for s in subj_ids}
     all_idx = np.arange(epochs.n_trials)

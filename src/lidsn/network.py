@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .params import ParamSet, init_params
 from .rng import RngStream
 from . import tensor as tz
@@ -254,9 +254,11 @@ class Model:
 
     def logits_np(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Eval-mode logits for a numpy batch, chunked to bound memory."""
+        if x.shape[0] == 0:
+            raise ConfigError("cannot evaluate an empty batch of trials")
         outs = []
         for lo in range(0, x.shape[0], batch_size):
-            chunk = Tensor(x[lo : lo + batch_size].astype(self.cfg.np_dtype))
+            chunk = Tensor(x[lo : lo + batch_size].astype(self.cfg.np_dtype, copy=False))
             outs.append(self.forward(chunk).data)
         return np.concatenate(outs, axis=0)
 

@@ -2,10 +2,10 @@
 
 A forward pass runs inside a ``with Tape() as tape:`` block; primitives record
 their backward rules onto the active tape whenever an input requires a
-gradient. ``backward(loss, tape)`` walks the tape once in reverse, accumulates
-gradients additively across fan-out, stores them on every requires_grad
-tensor, and clears the tape. With no active tape the primitives are plain
-numpy computations.
+gradient. ``backward(loss, tape)`` pops the tape in reverse, accumulating
+gradients across fan-out and freeing each entry and intermediate gradient as
+it goes; it stores gradients on the leaves, the requires_grad tensors no entry
+produced. With no active tape the primitives are plain numpy computations.
 
 Tensors are immutable once produced; parameter updates replace tensors rather
 than writing into them. The only mutable state is BatchNormState, updated
@@ -174,44 +174,37 @@ def _record(op: str, out_data: np.ndarray, inputs: tuple, backward: Callable) ->
 
 
 def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
-    """Reverse pass over the tape.
+    """Reverse pass that frees each tape entry and gradient once it is used.
 
-    Seeds d(loss)/d(loss) = 1, visits each tape entry exactly once in reverse
-    order, accumulates gradients additively across fan-out, writes .grad on
-    every requires_grad tensor touched, clears the tape, and returns the
-    gradient map.
+    Seeds d(loss)/d(loss) = 1 and pops the tape's entries in reverse
+    (topological) order, accumulating gradients across fan-out; an entry's
+    output gradient is complete when its entry is popped, and is dropped
+    there. Writes .grad on the leaves (tensors no entry produced) and returns
+    their gradient map. The tape is left empty.
     """
     if loss.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    produced = any(e.output is loss for e in tape.entries)
-    if not produced:
+    if not any(e.output is loss for e in tape.entries):
         raise ConfigError("backward: loss was not produced on this tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    by_id: dict[int, Tensor] = {id(loss): loss}
-    for entry in reversed(tape.entries):
-        g = grads.get(id(entry.output))
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.dtype)}
+    while tape.entries:
+        entry = tape.entries.pop()
+        g = grads.pop(entry.output, None)
         if g is None:
             continue
-        in_grads = entry.backward(g)
-        for t, gi in zip(entry.inputs, in_grads):
+        for t, gi in zip(entry.inputs, entry.backward(g)):
             if gi is None or not t.requires_grad:
                 continue
             if not np.all(np.isfinite(gi)):
                 raise NumericError(f"{entry.op}: non-finite gradient")
-            key = id(t)
-            by_id[key] = t
-            if key in grads:
-                grads[key] = grads[key] + gi
+            if t in grads:
+                # out of place: add's rule hands the same array to both operands
+                grads[t] = grads[t] + gi
             else:
-                grads[key] = gi
-    result: dict[Tensor, np.ndarray] = {}
-    for key, g in grads.items():
-        t = by_id[key]
-        if t.requires_grad:
-            t.grad = g
-            result[t] = g
-    tape.entries.clear()
-    return result
+                grads[t] = gi
+    for t, g in grads.items():
+        t.grad = g
+    return grads
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

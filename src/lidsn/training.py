@@ -357,7 +357,7 @@ def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
     if align:
         data = euclidean_align(epochs_set, fit_indices=train_idx)
     fit_idx, val_idx = validation_tail(train_idx, data.subjects, train_cfg.val_fraction)
-    x = data.data.astype(model_cfg.np_dtype)
+    x = data.data.astype(model_cfg.np_dtype, copy=False)
     outcome = train_model(
         model_cfg, train_cfg,
         x[fit_idx], data.labels[fit_idx],

@@ -371,3 +371,27 @@ def test_viz_trial_out_of_range_exits_1(work, capsys):
                  str(work["out"] / "model.bin"), "--config", str(work["cfg"]),
                  "--out", str(work["root"] / "viz2"), "--trial", "999"]) == 1
     assert capsys.readouterr().err.startswith("error[config]:")
+
+
+# a well-formed file with zero trials: each command names the empty set
+EMPTY_SET_ARGV = {
+    "train": ["train", "--data", "{empty}", "--config", "{cfg}", "--out", "{root}/empty-run"],
+    "eval": ["eval", "--data", "{empty}", "--model", "{out}/model.bin", "--config", "{cfg}"],
+    "split_co": ["split", "--data", "{empty}", "--protocol", "CO"],
+    "split_cv": ["split", "--data", "{empty}", "--protocol", "CV", "--n-folds", "2"],
+    "features": ["features", "--data", "{empty}", "--out", "{root}/empty-features.eegb",
+                 "--outer-window", "1.0", "--inner-window", "0.5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SET_ARGV))
+def test_empty_epoch_set_exits_1(work, capsys, case):
+    empty = work["root"] / "empty.eegb"
+    empty.write_bytes(struct.pack("<4sHIHIfH", b"EEGB", 1, 0, 3, 40, 40.0, 2))
+    assert load_epochs(empty).n_trials == 0
+    argv = [a.format(empty=empty, cfg=work["cfg"], out=work["out"], root=work["root"])
+            for a in EMPTY_SET_ARGV[case]]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[config]:") and "empty" in err, err

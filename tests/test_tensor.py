@@ -1,4 +1,6 @@
 """Tensor engine: forward oracles, backward checks, tape semantics, errors."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -384,6 +386,88 @@ def test_backward_clears_tape():
         loss = tz.reduce_sum(x)
         backward(loss, tape)
         assert len(tape.entries) == 0
+
+
+def reference_walk(loss, entries):
+    """Keep-everything reverse walk: every gradient, intermediates included."""
+    grads = {id(loss): np.ones((), dtype=loss.dtype)}
+    keep = {id(loss): loss}
+    for entry in reversed(entries):
+        g = grads.get(id(entry.output))
+        if g is None:
+            continue
+        for t, gi in zip(entry.inputs, entry.backward(g)):
+            if gi is not None and t.requires_grad:
+                keep[id(t)] = t
+                grads[id(t)] = grads[id(t)] + gi if id(t) in grads else gi
+    return {keep[k]: g for k, g in grads.items()}
+
+
+WALK_OPS = {
+    "add": lambda u, v: tz.add(u, v),
+    "sub": lambda u, v: tz.sub(u, v),
+    "mul": lambda u, v: tz.mul(u, v),
+    "gelu": lambda u, v: tz.gelu(u),
+    "scale": lambda u, v: tz.scale(u, -1.5),
+}
+
+
+def run_program(program, leaves):
+    """Apply (op, i, j) steps to a growing pool of tensors; the loss sums the last."""
+    pool = list(leaves)
+    for op, i, j in program:
+        pool.append(WALK_OPS[op](pool[i % len(pool)], pool[j % len(pool)]))
+    return tz.reduce_sum(tz.add(pool[-1], pool[0]))
+
+
+# pool indices: 0 and 1 are leaves that require grad, 2 is a constant
+@given(
+    program=st.lists(st.tuples(st.sampled_from(sorted(WALK_OPS)), st.integers(0, 9),
+                               st.integers(0, 9)), min_size=1, max_size=6),
+    seed=st.integers(0, 1000),
+)
+@example(program=[("add", 0, 0)], seed=0)
+@example(program=[("mul", 0, 0)], seed=0)
+@example(program=[("gelu", 0, 0), ("scale", 0, 0), ("mul", 3, 4)], seed=0)  # diamond
+@example(program=[("gelu", 0, 0), ("add", 3, 1), ("mul", 3, 2), ("sub", 4, 5), ("add", 6, 3)],
+         seed=0)  # pool[3] feeds three ops
+@settings(max_examples=60, deadline=None)
+def test_backward_matches_keep_everything_walk(program, seed):
+    leaves = (Tensor(rnd(3, 4, seed=seed), requires_grad=True),
+              Tensor(rnd(3, 4, seed=seed + 1), requires_grad=True),
+              Tensor(rnd(3, 4, seed=seed + 2)))
+    with Tape() as tape:
+        ref = reference_walk(run_program(program, leaves), tape.entries)
+    produced = {id(e.output) for e in tape.entries}
+    ref_leaves = {t: g for t, g in ref.items() if id(t) not in produced}
+    with Tape() as tape:
+        loss = run_program(program, leaves)
+        intermediates = [e.output for e in tape.entries]
+        grads = backward(loss, tape)
+    assert set(grads) == set(ref_leaves)
+    for t, g in ref_leaves.items():
+        assert np.array_equal(grads[t], g) and t.grad is grads[t]
+    assert all(t.grad is None for t in intermediates)
+
+
+def test_backward_peak_does_not_grow_with_chain_length():
+    """Each intermediate gradient is freed once its producer has run, so the
+    walk over a 20-op chain of 1 MiB arrays holds only a few arrays at once."""
+    x = Tensor(rnd(128, 1024, seed=60), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y = x
+            for i in range(20):
+                y = tz.gelu(y) if i % 2 else tz.scale(y, 0.9)
+            loss = tz.reduce_sum(y)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 4 * x.data.nbytes, (peak - held) / x.data.nbytes
 
 
 def test_no_tape_means_no_recording():
