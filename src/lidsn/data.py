@@ -19,6 +19,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataFormatError, NumericError
 
@@ -104,9 +106,9 @@ def save_epochs(path, epochs: EpochSet) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(EEGB_MAGIC, EEGB_VERSION, epochs.n_trials, epochs.n_channels,
                               epochs.n_samples, epochs.fs, epochs.n_classes))
-        fh.write(epochs.labels.astype("<u2").tobytes())
-        fh.write(epochs.subjects.astype("<u2").tobytes())
-        fh.write(np.ascontiguousarray(epochs.data, dtype="<f4").tobytes())
+        fh.write(epochs.labels.astype("<u2"))
+        fh.write(epochs.subjects.astype("<u2"))
+        fh.write(np.ascontiguousarray(epochs.data, dtype="<f4"))
 
 
 def load_epochs(path) -> EpochSet:
@@ -268,12 +270,11 @@ def euclidean_align(epochs: EpochSet, fit_indices: np.ndarray | None = None) -> 
     """
     if epochs.n_trials == 0:
         raise ConfigError("cannot align an empty epoch set")
-    fit_mask = np.zeros(epochs.n_trials, dtype=bool)
-    if fit_indices is None:
-        fit_mask[:] = True
-    else:
+    fit_mask = np.full(epochs.n_trials, fit_indices is None)
+    if fit_indices is not None:
         fit_mask[np.asarray(fit_indices, dtype=np.int64)] = True
-    aligned = epochs.data.copy()
+    # every row belongs to some subject, so every row of the output is written
+    aligned = np.empty_like(epochs.data)
     t = epochs.n_samples
     for subj in np.unique(epochs.subjects):
         idx = np.where(epochs.subjects == subj)[0]
@@ -281,7 +282,7 @@ def euclidean_align(epochs: EpochSet, fit_indices: np.ndarray | None = None) -> 
         if fit.size == 0:
             fit = idx
         x = epochs.data[fit]
-        r = np.einsum("nct,ndt->cd", x, x, optimize=True) / (fit.size * t)
+        r = (x @ x.transpose(0, 2, 1)).sum(axis=0) / (fit.size * t)
         r = 0.5 * (r + r.T)
         vals, vecs = np.linalg.eigh(r)
         if vals.min() <= 0:
@@ -290,7 +291,7 @@ def euclidean_align(epochs: EpochSet, fit_indices: np.ndarray | None = None) -> 
             if vals.min() <= 0:
                 raise NumericError(f"subject {subj}: mean covariance is not positive definite")
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        aligned[idx] = np.einsum("cd,ndt->nct", inv_sqrt, epochs.data[idx], optimize=True)
+        aligned[idx] = np.matmul(inv_sqrt, epochs.data[idx])
     return EpochSet(aligned, epochs.labels.copy(), epochs.subjects.copy(), epochs.fs,
                     epochs.n_classes, epochs.channel_names,
                     epochs.provenance + " aligned")
@@ -327,7 +328,9 @@ def rpsd_features(
     Each trial splits into outer segments (one output row each); each segment
     splits into overlapping sub-windows whose Hann periodogram is reduced to
     band powers, normalized to sum to one, z-scored per channel across the
-    segment, and concatenated over (sub-window, band).
+    segment, and concatenated over (sub-window, band). Overlapping segments
+    share sub-windows that start at the same sample; each distinct sub-window
+    is transformed once per trial.
     """
     if not bands:
         raise ConfigError("band set must not be empty")
@@ -350,38 +353,35 @@ def rpsd_features(
     hop_in = max(1, int(round(w_in * (1.0 - inner_overlap))))
     outer_starts = _segment_starts(epochs.n_samples, w_out, hop_out)
     inner_starts = _segment_starts(w_out, w_in, hop_in)
-    n_sub = inner_starts.size
-    n_bands = len(bands)
+    n_seg, n_sub, n_ch = outer_starts.size, inner_starts.size, epochs.n_channels
+    # starts[inverse[s, j]] is where sub-window j of segment s begins
+    starts, inverse = np.unique(outer_starts[:, None] + inner_starts, return_inverse=True)
+    inverse = inverse.reshape(n_seg, n_sub)
     window = np.hanning(w_in)
     freqs = np.fft.rfftfreq(w_in, d=1.0 / fs)
-    band_bins = [(freqs >= lo) & (freqs <= hi) for lo, hi in bands]
+    band_matrix = np.array([(freqs >= lo) & (freqs <= hi) for lo, hi in bands], dtype=float).T
 
-    rows, labels, subjects = [], [], []
+    out = np.empty((epochs.n_trials, n_seg, n_ch, n_sub * len(bands)))
     for i in range(epochs.n_trials):
-        for start in outer_starts:
-            seg = epochs.data[i, :, start : start + w_out]
-            feats = np.zeros((epochs.n_channels, n_sub, n_bands))
-            for j, s0 in enumerate(inner_starts):
-                sub = seg[:, s0 : s0 + w_in] * window
-                psd = np.abs(np.fft.rfft(sub, axis=1)) ** 2
-                powers = np.stack([psd[:, m].sum(axis=1) for m in band_bins], axis=1)
-                totals = powers.sum(axis=1, keepdims=True)
-                if np.any(totals <= 0):
-                    bad = int(np.where(totals[:, 0] <= 0)[0][0])
-                    raise NumericError(
-                        f"trial {i} segment at {start}: zero spectral mass on channel {bad}"
-                    )
-                feats[:, j, :] = powers / totals
-            flat = feats.reshape(epochs.n_channels, n_sub * n_bands)
-            mu = flat.mean(axis=1, keepdims=True)
-            sd = flat.std(axis=1, keepdims=True)
-            sd[sd == 0] = 1.0
-            rows.append((flat - mu) / sd)
-            labels.append(epochs.labels[i])
-            subjects.append(epochs.subjects[i])
-    return EpochSet(np.stack(rows), np.array(labels), np.array(subjects), fs,
-                    epochs.n_classes, epochs.channel_names,
-                    epochs.provenance + " rpsd")
+        subs = sliding_window_view(epochs.data[i], w_in, axis=1)[:, starts]
+        subs *= window
+        spectrum = scipy.fft.rfft(subs, axis=-1)
+        powers = (spectrum.real ** 2 + spectrum.imag ** 2) @ band_matrix  # [C, starts, bands]
+        totals = powers.sum(axis=-1, keepdims=True)
+        if np.any(totals <= 0):
+            # name the first (segment, sub-window, channel) in segment-loop order
+            empty = (totals[:, :, 0] <= 0)[:, inverse]  # [C, segments, sub-windows]
+            seg, sub = divmod(int(np.argmax(empty.any(axis=0))), n_sub)
+            raise NumericError(f"trial {i} segment at {outer_starts[seg]}: zero spectral mass "
+                               f"on channel {np.argmax(empty[:, seg, sub])}")
+        flat = (powers / totals)[:, inverse].transpose(1, 0, 2, 3).reshape(n_seg, n_ch, -1)
+        mu = flat.mean(axis=-1, keepdims=True)
+        sd = flat.std(axis=-1, keepdims=True)
+        sd[sd == 0] = 1.0
+        np.divide(flat - mu, sd, out=out[i])
+    return EpochSet(out.reshape(-1, n_ch, out.shape[-1]), np.repeat(epochs.labels, n_seg),
+                    np.repeat(epochs.subjects, n_seg), fs, epochs.n_classes,
+                    epochs.channel_names, epochs.provenance + " rpsd")
 
 
 # ---------------------------------------------------------------------------

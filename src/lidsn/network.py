@@ -16,6 +16,8 @@ from .rng import RngStream
 from . import tensor as tz
 from .tensor import Tape, Tensor, backward
 
+EVAL_CHUNK = 32  # trials per eval forward: one chunk's activations bound eval memory
+
 
 def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bool) -> Tensor:
     """[B, C, T] -> [B, P, D]: pointwise mix, batchnorm, depthwise conv, GELU, pool."""
@@ -252,18 +254,15 @@ class Model:
             x = Tensor(np.asarray(x, dtype=self.cfg.np_dtype))
         return forward(x, self.params, self.cfg, rng, training, capture)
 
-    def logits_np(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def logits_np(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits for a numpy batch, chunked to bound memory."""
         if x.shape[0] == 0:
             raise ConfigError("cannot evaluate an empty batch of trials")
         outs = []
-        for lo in range(0, x.shape[0], batch_size):
-            chunk = Tensor(x[lo : lo + batch_size].astype(self.cfg.np_dtype, copy=False))
+        for lo in range(0, x.shape[0], EVAL_CHUNK):
+            chunk = Tensor(x[lo : lo + EVAL_CHUNK].astype(self.cfg.np_dtype, copy=False))
             outs.append(self.forward(chunk).data)
         return np.concatenate(outs, axis=0)
-
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        return np.argmax(self.logits_np(x, batch_size), axis=1)
 
 
 def saliency(x: np.ndarray, model: Model, class_index: int | None = None) -> np.ndarray:

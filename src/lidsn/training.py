@@ -192,9 +192,9 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
 
 
 def evaluate_model(model: Model, x: np.ndarray, labels: np.ndarray,
-                   weights: np.ndarray | None = None, batch: int = 256) -> dict:
+                   weights: np.ndarray | None = None) -> dict:
     """Eval-mode metrics, plus mean weighted CE loss when weights are given."""
-    logits = model.logits_np(x, batch_size=batch)
+    logits = model.logits_np(x)
     preds = logits.argmax(axis=1)
     out = metrics_from_confusion(confusion_matrix(labels, preds, model.cfg.n_classes))
     if weights is not None:

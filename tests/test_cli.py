@@ -197,6 +197,15 @@ def test_features_smoke(work):
     assert feats.n_channels == 3
 
 
+def test_features_rerun_is_byte_identical(work):
+    outs = [work["root"] / f"features-rerun{k}.eegb" for k in (1, 2)]
+    for out in outs:
+        assert main(["features", "--data", str(work["data"]), "--out", str(out),
+                     "--outer-window", "0.75", "--outer-overlap", "0.6",
+                     "--inner-window", "0.25", "--inner-overlap", "0.5"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_split_prints_canonical_json(work, capsys):
     assert main(["split", "--data", str(work["data"]), "--protocol", "CV",
                  "--n-folds", "2"]) == 0

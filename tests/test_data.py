@@ -1,9 +1,11 @@
 """Epoch container, binary format, synthesis, alignment, features, splits."""
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
 from scipy.signal import periodogram
@@ -80,6 +82,18 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.subjects, e.subjects)
     assert back.fs == e.fs
     assert back.n_classes == e.n_classes
+
+
+def test_save_writes_header_labels_subjects_payload(tmp_path):
+    data = np.array([[[1.5, -2.0, 0.25], [3.0, 0.5, -7.0]],
+                     [[0.0, 8.0, -1.0], [2.5, 1.0, 4.0]]])
+    e = EpochSet(data, np.array([1, 0]), np.array([3, 5]), 64.0, 2)
+    path = tmp_path / "e.eegb"
+    save_epochs(path, e)
+    want = (HEADER.pack(b"EEGB", 1, 2, 2, 3, 64.0, 2)
+            + struct.pack("<2H", 1, 0) + struct.pack("<2H", 3, 5)
+            + struct.pack("<12f", *data.ravel()))
+    assert path.read_bytes() == want
 
 
 def test_load_hand_built_file(tmp_path):
@@ -304,6 +318,22 @@ def test_align_subject_without_fit_rows_falls_back():
     assert np.linalg.norm(np.mean(covs, axis=0) - np.eye(e.n_channels)) < 1e-8
 
 
+def test_align_interleaved_subjects_match_oracle():
+    # subjects 0 and 1 interleave; fit rows span both; subject 2 has none
+    rng = np.random.default_rng(23)
+    subjects = np.array([0, 1, 0, 2, 1, 0, 1, 2, 0, 1])
+    e = EpochSet(rng.normal(size=(10, 3, 32)), np.zeros(10), subjects, 10.0, 1)
+    fit = np.array([1, 2, 4, 5, 8])
+    aligned = euclidean_align(e, fit_indices=fit)
+    for s in (0, 1, 2):
+        rows = np.where(subjects == s)[0]
+        fit_rows = np.intersect1d(rows, fit) if s != 2 else rows
+        r = np.mean([e.data[i] @ e.data[i].T / 32 for i in fit_rows], axis=0)
+        inv_sqrt = fractional_matrix_power(r, -0.5).real
+        for i in rows:
+            assert np.abs(aligned.data[i] - inv_sqrt @ e.data[i]).max() < 1e-8
+
+
 def test_align_rejects_empty():
     e = EpochSet(np.zeros((0, 2, 4)), np.zeros(0), np.zeros(0), 10.0, 2)
     with pytest.raises(ConfigError):
@@ -364,6 +394,66 @@ def test_rpsd_matches_dft_oracle():
     want = oracle_rpsd(e, **FEATURE_ARGS)
     assert got.data.shape == want.shape
     assert np.abs(got.data - want).max() < 1e-9
+
+
+# a 2-sample Hann window is all zeros, so inner windows start at 3 samples
+@given(n_trials=st.integers(1, 2), n_channels=st.integers(1, 3), w_in=st.integers(3, 24),
+       extra_out=st.integers(0, 24), extra_t=st.integers(0, 24),
+       outer_overlap=st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.9]),
+       inner_overlap=st.sampled_from([0.0, 0.25, 0.5, 0.6, 0.9]),
+       custom_bands=st.booleans(), seed=st.integers(0, 2**16))
+# hops that do not tile (outer hop 5, inner hop 4)
+@example(n_trials=2, n_channels=2, w_in=8, extra_out=12, extra_t=13, outer_overlap=0.75,
+         inner_overlap=0.5, custom_bands=False, seed=0)
+# a single segment
+@example(n_trials=1, n_channels=2, w_in=8, extra_out=8, extra_t=0, outer_overlap=0.5,
+         inner_overlap=0.5, custom_bands=False, seed=1)
+# inner window == outer window
+@example(n_trials=2, n_channels=3, w_in=16, extra_out=0, extra_t=20, outer_overlap=0.5,
+         inner_overlap=0.5, custom_bands=False, seed=2)
+# zero overlaps
+@example(n_trials=2, n_channels=2, w_in=6, extra_out=6, extra_t=24, outer_overlap=0.0,
+         inner_overlap=0.0, custom_bands=False, seed=3)
+# a custom band list with a one-bin band
+@example(n_trials=2, n_channels=2, w_in=16, extra_out=16, extra_t=16, outer_overlap=0.5,
+         inner_overlap=0.75, custom_bands=True, seed=4)
+@settings(max_examples=40, deadline=None)
+def test_rpsd_property_matches_dft_oracle(n_trials, n_channels, w_in, extra_out, extra_t,
+                                          outer_overlap, inner_overlap, custom_bands, seed):
+    fs = 32.0
+    w_out = w_in + extra_out
+    data = np.random.default_rng(seed).normal(size=(n_trials, n_channels, w_out + extra_t))
+    e = EpochSet(data, np.arange(n_trials), np.arange(n_trials) + 5, fs, n_trials)
+    bands = DEFAULT_BANDS
+    if custom_bands:
+        # bin 1 alone, then every bin above it
+        bin1 = fs / w_in
+        bands = ((0.99 * bin1, 1.01 * bin1), (1.5 * bin1, fs / 2))
+    args = dict(outer_window_s=w_out / fs, outer_overlap=outer_overlap,
+                inner_window_s=w_in / fs, inner_overlap=inner_overlap)
+    got = rpsd_features(e, bands=bands, **args)
+    want = oracle_rpsd(e, bands=bands, **args)
+    assert got.data.shape == want.shape
+    assert np.abs(got.data - want).max() < 1e-9
+    rows = want.shape[0] // n_trials
+    assert np.array_equal(got.labels, np.repeat(e.labels, rows))
+    assert np.array_equal(got.subjects, np.repeat(e.subjects, rows))
+
+
+def test_rpsd_zero_mass_names_first_segment_and_channel():
+    # T=512: segments at 0, 128 and 256, sub-windows 32 apart. In trial 2,
+    # channel 1 is silent from sample 300, so the first fully silent
+    # sub-window starts at 320 in the segment at 256; channel 0 is silent
+    # only in a later sub-window of that segment
+    data = np.random.default_rng(24).normal(size=(3, 2, 512))
+    data[2, 1, 300:] = 0.0
+    data[2, 0, 380:] = 0.0
+    e = EpochSet(data, np.zeros(3), np.zeros(3), 128.0, 1)
+    want = "trial 2 segment at 256: zero spectral mass on channel 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{re.escape(want)}$"):
+            rpsd_features(e, **FEATURE_ARGS)
 
 
 def test_rpsd_geometry_and_metadata():
