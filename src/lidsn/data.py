@@ -42,8 +42,6 @@ class EpochSet:
     subjects: np.ndarray
     fs: float
     n_classes: int
-    channel_names: list[str] | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -81,17 +79,6 @@ class EpochSet:
     @property
     def n_samples(self) -> int:
         return self.data.shape[2]
-
-    def subset(self, idx: np.ndarray, note: str = "") -> "EpochSet":
-        return EpochSet(
-            self.data[idx],
-            self.labels[idx],
-            self.subjects[idx],
-            self.fs,
-            self.n_classes,
-            self.channel_names,
-            self.provenance + note,
-        )
 
 
 def save_epochs(path, epochs: EpochSet) -> None:
@@ -252,8 +239,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> EpochSet:
             subjects[row] = subj
             row += 1
     data = data.astype(np.float32).astype(np.float64)
-    return EpochSet(data, labels, subjects, spec.fs, n_classes,
-                    provenance=f"synth seed={seed}")
+    return EpochSet(data, labels, subjects, spec.fs, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +279,7 @@ def euclidean_align(epochs: EpochSet, fit_indices: np.ndarray | None = None) -> 
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         aligned[idx] = np.matmul(inv_sqrt, epochs.data[idx])
     return EpochSet(aligned, epochs.labels.copy(), epochs.subjects.copy(), epochs.fs,
-                    epochs.n_classes, epochs.channel_names,
-                    epochs.provenance + " aligned")
+                    epochs.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +324,9 @@ def rpsd_features(
     if not 0.0 <= outer_overlap < 1.0 or not 0.0 <= inner_overlap < 1.0:
         raise ConfigError("overlaps must lie in [0, 1)")
     fs = epochs.fs
+    for name, seconds in (("outer", outer_window_s), ("inner", inner_window_s)):
+        if not np.isfinite(seconds * fs):
+            raise ConfigError(f"{name} window of {seconds} s is not a finite number of samples")
     w_out = int(round(outer_window_s * fs))
     w_in = int(round(inner_window_s * fs))
     if w_out > epochs.n_samples:
@@ -347,8 +335,9 @@ def rpsd_features(
         )
     if w_in > w_out:
         raise ConfigError(f"inner window of {w_in} samples exceeds outer window {w_out}")
-    if w_in < 2:
-        raise ConfigError("inner window must cover at least 2 samples")
+    if w_in < 3:
+        # np.hanning(2) is [0, 0]: every periodogram of a 2-sample window is empty
+        raise ConfigError(f"inner window of {w_in} samples is shorter than 3 samples")
     hop_out = max(1, int(round(w_out * (1.0 - outer_overlap))))
     hop_in = max(1, int(round(w_in * (1.0 - inner_overlap))))
     outer_starts = _segment_starts(epochs.n_samples, w_out, hop_out)
@@ -380,8 +369,7 @@ def rpsd_features(
         sd[sd == 0] = 1.0
         np.divide(flat - mu, sd, out=out[i])
     return EpochSet(out.reshape(-1, n_ch, out.shape[-1]), np.repeat(epochs.labels, n_seg),
-                    np.repeat(epochs.subjects, n_seg), fs, epochs.n_classes,
-                    epochs.channel_names, epochs.provenance + " rpsd")
+                    np.repeat(epochs.subjects, n_seg), fs, epochs.n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -276,8 +276,8 @@ def saliency(x: np.ndarray, model: Model, class_index: int | None = None) -> np.
         if class_index is None:
             class_index = int(np.argmax(logits.data[0]))
         target = tz.select(logits, (0, int(class_index)))
-        backward(target, tape)
-    sal = np.abs(xt.grad[0])
+        grads = backward(target, tape)
+    sal = np.abs(grads[xt][0])
     peak = sal.max()
     if peak > 0:
         sal = sal / peak

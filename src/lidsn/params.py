@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -122,12 +121,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def names(self) -> Iterator[str]:
-        return iter(self.tensors)
-
     def replace(self, name: str, data: np.ndarray) -> None:
         self.tensors[name] = Tensor(data, requires_grad=True)
 
@@ -138,9 +131,6 @@ class ParamSet:
         for name, s in self.states.items():
             out.states[name] = s.copy()
         return out
-
-    def n_values(self) -> int:
-        return sum(t.size for t in self.tensors.values())
 
     def value_dict(self) -> dict[str, np.ndarray]:
         """Every stored array (parameters and running stats) by name."""
@@ -352,13 +342,8 @@ def load_snapshot(path) -> dict[str, np.ndarray]:
     return out
 
 
-def round_through_f32(params: ParamSet) -> ParamSet:
-    """Parameters as a snapshot would restore them (float32 precision)."""
+def round_through_f32(params: ParamSet, dtype) -> ParamSet:
+    """Parameters as a snapshot would restore them (float32 precision) in dtype."""
     out = params.clone()
-    dtype = next(iter(params.tensors.values())).dtype if params.tensors else np.float64
-    for name, t in out.tensors.items():
-        out.tensors[name] = Tensor(t.data.astype(np.float32).astype(dtype), requires_grad=True)
-    for site in out.states:
-        out.states[site].mean = out.states[site].mean.astype(np.float32).astype(dtype)
-        out.states[site].var = out.states[site].var.astype(np.float32).astype(dtype)
+    out.load_values({name: v.astype(np.float32) for name, v in params.value_dict().items()}, dtype)
     return out

@@ -18,13 +18,7 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise ValueError("seed and stream must be non-negative")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
-
-    def substream(self, stream: int) -> "RngStream":
-        """Independent stream under the same seed."""
-        return RngStream(self.seed, stream)
+        self._gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)

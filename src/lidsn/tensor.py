@@ -4,8 +4,9 @@ A forward pass runs inside a ``with Tape() as tape:`` block; primitives record
 their backward rules onto the active tape whenever an input requires a
 gradient. ``backward(loss, tape)`` pops the tape in reverse, accumulating
 gradients across fan-out and freeing each entry and intermediate gradient as
-it goes; it stores gradients on the leaves, the requires_grad tensors no entry
-produced. With no active tape the primitives are plain numpy computations.
+it goes; it returns the gradients of the leaves, the requires_grad tensors no
+entry produced, as a map keyed by tensor. Tensors hold no gradient themselves.
+With no active tape the primitives are plain numpy computations.
 
 Tensors are immutable once produced; parameter updates replace tensors rather
 than writing into them. The only mutable state is BatchNormState, updated
@@ -31,17 +32,16 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 class Tensor:
-    """Immutable dense array with an optional gradient slot."""
+    """Immutable dense float array, optionally flagged as needing a gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -64,58 +64,11 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        return swapaxes(self, a, b)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return add(self, other)
 
 
 class TapeEntry:
@@ -141,9 +94,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _STACK.tapes.pop()
         return False
-
-    def __len__(self):
-        return len(self.entries)
 
 
 class _TapeStack(threading.local):
@@ -179,8 +129,8 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     Seeds d(loss)/d(loss) = 1 and pops the tape's entries in reverse
     (topological) order, accumulating gradients across fan-out; an entry's
     output gradient is complete when its entry is popped, and is dropped
-    there. Writes .grad on the leaves (tensors no entry produced) and returns
-    their gradient map. The tape is left empty.
+    there. Returns the gradient map of the leaves (tensors no entry
+    produced). The tape is left empty.
     """
     if loss.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -202,8 +152,6 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
                 grads[t] = grads[t] + gi
             else:
                 grads[t] = gi
-    for t, g in grads.items():
-        t.grad = g
     return grads
 
 
@@ -330,38 +278,33 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record("softmax", out, (x,), back)
 
 
-def l2norm(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+def l2norm(x: Tensor, axis: int = -1) -> Tensor:
     norms = np.sqrt(np.sum(x.data * x.data, axis=axis, keepdims=True))
-    out = norms if keepdims else np.squeeze(norms, axis=axis)
+    out = np.squeeze(norms, axis=axis)
 
     def back(g):
-        gk = g if keepdims else np.expand_dims(g, axis)
         safe = np.where(norms > 0.0, norms, 1.0)
-        return (gk * np.where(norms > 0.0, x.data / safe, 0.0),)
+        return (np.expand_dims(g, axis) * np.where(norms > 0.0, x.data / safe, 0.0),)
 
     return _record("l2norm", out, (x,), back)
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = np.sum(x.data, axis=axis, keepdims=keepdims)
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
+    out = np.sum(x.data, axis=axis)
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, x.shape).astype(x.dtype, copy=False),)
 
     return _record("sum", out, (x,), back)
 
 
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = np.mean(x.data, axis=axis, keepdims=keepdims)
+def reduce_mean(x: Tensor, axis=None) -> Tensor:
+    out = np.mean(x.data, axis=axis)
     n = x.size if axis is None else x.shape[axis]
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, x.shape).astype(x.dtype, copy=False),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk / n, x.shape).astype(x.dtype, copy=False),)
 
     return _record("mean", out, (x,), back)
@@ -552,15 +495,6 @@ def batchnorm(
 # convolution and pooling
 
 
-def _lift(x: Tensor):
-    """Accept [C, T] or [N, C, T]; return 3-d data plus a squeeze flag."""
-    if x.ndim == 2:
-        return x.data[None, :, :], True
-    if x.ndim == 3:
-        return x.data, False
-    raise ShapeError(f"expected [C, T] or [N, C, T], got {x.shape}")
-
-
 def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
     """Adjoint of a strided window view: out[..., p * stride + j] sums gwin[..., p, j].
 
@@ -577,81 +511,65 @@ def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
     return out.reshape(*lead, -1)[..., :length]
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """Cross-correlation along time with 'same' zero padding.
 
-    x: [N, Cin, T] (or [Cin, T]), w: [Cout, Cin, K] with K odd, b: [Cout].
+    x: [N, Cin, T], w: [Cout, Cin, K] with K odd, b: [Cout].
     Output length is floor((T - 1) / stride) + 1.
     """
-    xd, squeeze = _lift(x)
-    if w.ndim != 3:
-        raise ShapeError(f"conv1d kernel must be [Cout, Cin, K], got {w.shape}")
+    if x.ndim != 3 or w.ndim != 3:
+        raise ShapeError(f"conv1d needs [N, Cin, T] input and a [Cout, Cin, K] kernel, "
+                         f"got {x.shape} and {w.shape}")
     cout, cin, k = w.shape
     if k % 2 == 0:
         raise ShapeError(f"conv1d kernel length must be odd, got {k}")
-    if xd.shape[1] != cin:
-        raise ShapeError(f"conv1d: input channels {xd.shape[1]} != kernel Cin {cin}")
+    if x.shape[1] != cin:
+        raise ShapeError(f"conv1d: input channels {x.shape[1]} != kernel Cin {cin}")
     if stride < 1:
         raise ShapeError(f"conv1d stride must be >= 1, got {stride}")
-    n, _, t = xd.shape
+    if b.shape != (cout,):
+        raise ShapeError(f"conv1d bias shape {b.shape} != ({cout},)")
+    n, _, t = x.shape
     pad = k // 2
     t_out = (t - 1) // stride + 1
-    xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
     hi = stride * (t_out - 1) + 1
     win = sliding_window_view(xpad, k, axis=2)[:, :, :hi:stride]
     # one matmul per input channel straight on the window view: no copy of the taps
     out = np.matmul(w.data[:, 0], win[:, 0].transpose(0, 2, 1))
     for i in range(1, cin):
         out += np.matmul(w.data[:, i], win[:, i].transpose(0, 2, 1))
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv1d bias shape {b.shape} != ({cout},)")
-        out += b.data[:, None]
+    out += b.data[:, None]
 
     def back(g):
-        if squeeze:
-            g = g[None]
         g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
         # the window view copied to one row of taps per output step
         cols = win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
         dw = (g2.T @ cols).reshape(w.shape)
         dcols = (g2 @ w.data.reshape(cout, cin * k)).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
         dx = _window_adjoint(dcols, stride, pad + t)[:, :, pad:]
-        if squeeze:
-            dx = dx[0]
-        db = None if b is None else g.sum(axis=(0, 2))
-        return dx, dw, db
+        return dx, dw, g.sum(axis=(0, 2))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("conv1d", out[0] if squeeze else out, inputs, back)
+    return _record("conv1d", out, (x, w, b), back)
 
 
-def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """1x1 channel-mixing convolution: [N, Cin, T] x [Cout, Cin] -> [N, Cout, T]."""
-    xd, squeeze = _lift(x)
-    if w.ndim != 2:
-        raise ShapeError(f"pointwise kernel must be [Cout, Cin], got {w.shape}")
+def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """1x1 channel-mixing convolution: [N, Cin, T] x [Cout, Cin] + b [Cout] -> [N, Cout, T]."""
+    if x.ndim != 3 or w.ndim != 2:
+        raise ShapeError(f"pointwise needs [N, Cin, T] input and a [Cout, Cin] kernel, "
+                         f"got {x.shape} and {w.shape}")
     cout, cin = w.shape
-    if xd.shape[1] != cin:
-        raise ShapeError(f"pointwise: input channels {xd.shape[1]} != kernel Cin {cin}")
-    out = np.matmul(w.data, xd)
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"pointwise bias shape {b.shape} != ({cout},)")
-        out = out + b.data[:, None]
+    if x.shape[1] != cin:
+        raise ShapeError(f"pointwise: input channels {x.shape[1]} != kernel Cin {cin}")
+    if b.shape != (cout,):
+        raise ShapeError(f"pointwise bias shape {b.shape} != ({cout},)")
+    out = np.matmul(w.data, x.data) + b.data[:, None]
 
     def back(g):
-        if squeeze:
-            g = g[None]
-        dw = np.tensordot(g, xd, axes=([0, 2], [0, 2]))
-        dx = np.matmul(w.data.T, g)
-        if squeeze:
-            dx = dx[0]
-        db = None if b is None else g.sum(axis=(0, 2))
-        return dx, dw, db
+        dw = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))
+        return np.matmul(w.data.T, g), dw, g.sum(axis=(0, 2))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("conv1d_pointwise", out[0] if squeeze else out, inputs, back)
+    return _record("conv1d_pointwise", out, (x, w, b), back)
 
 
 _BLOCK = 32  # L, the output samples per block of the banded depthwise matmul
@@ -706,40 +624,32 @@ def _depthwise_weight_grad(xd: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return np.diagonal(sliding_window_view(prod, k, axis=1), axis1=1, axis2=2).sum(-1)
 
 
-def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-channel temporal kernel with 'same' zero padding.
 
-    x: [N, C, T] (or [C, T]), w: [C, K] with K odd, b: [C]. Each channel is
-    one batched matmul of overlapping input blocks against a banded Toeplitz
-    matrix of its taps.
+    x: [N, C, T], w: [C, K] with K odd, b: [C]. Each channel is one batched
+    matmul of overlapping input blocks against a banded Toeplitz matrix of
+    its taps.
     """
-    xd, squeeze = _lift(x)
-    if w.ndim != 2:
-        raise ShapeError(f"depthwise kernel must be [C, K], got {w.shape}")
+    if x.ndim != 3 or w.ndim != 2:
+        raise ShapeError(f"depthwise needs [N, C, T] input and a [C, K] kernel, "
+                         f"got {x.shape} and {w.shape}")
     c, k = w.shape
     if k % 2 == 0:
         raise ShapeError(f"depthwise kernel length must be odd, got {k}")
-    if xd.shape[1] != c:
-        raise ShapeError(f"depthwise: input channels {xd.shape[1]} != kernel C {c}")
-    out = _depthwise_apply(xd, w.data)
-    if b is not None:
-        if b.shape != (c,):
-            raise ShapeError(f"depthwise bias shape {b.shape} != ({c},)")
-        out += b.data[:, None]
+    if x.shape[1] != c:
+        raise ShapeError(f"depthwise: input channels {x.shape[1]} != kernel C {c}")
+    if b.shape != (c,):
+        raise ShapeError(f"depthwise bias shape {b.shape} != ({c},)")
+    out = _depthwise_apply(x.data, w.data)
+    out += b.data[:, None]
 
     def back(g):
-        if squeeze:
-            g = g[None]
-        dw = _depthwise_weight_grad(xd, g, k)
+        dw = _depthwise_weight_grad(x.data, g, k)
         # the input gradient correlates the padded g with the reversed taps
-        dx = _depthwise_apply(g, w.data[:, ::-1])
-        if squeeze:
-            dx = dx[0]
-        db = None if b is None else g.sum(axis=(0, 2))
-        return dx, dw, db
+        return _depthwise_apply(g, w.data[:, ::-1]), dw, g.sum(axis=(0, 2))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("conv1d_depthwise", out[0] if squeeze else out, inputs, back)
+    return _record("conv1d_depthwise", out, (x, w, b), back)
 
 
 def avgpool1d(x: Tensor, window: int, stride: int) -> Tensor:

@@ -211,7 +211,6 @@ def evaluate_model(model: Model, x: np.ndarray, labels: np.ndarray,
 @dataclass
 class TrainOutcome:
     model: Model
-    best_values: dict
     curves: list
     epochs_run: int
     best_epoch: int
@@ -293,9 +292,9 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
         best_epoch = epochs_run
         best_val = float("nan")
         best_params = model.params
-    model.params = round_through_f32(best_params)
+    model.params = round_through_f32(best_params, model_cfg.np_dtype)
     final = evaluate_model(model, x_train, y_train)
-    return TrainOutcome(model, model.params.value_dict(), curves, epochs_run,
+    return TrainOutcome(model, curves, epochs_run,
                         best_epoch, float(best_val), final["accuracy"])
 
 

@@ -402,7 +402,7 @@ def test_criterion_9_format_roundtrips(tmp_path, tiny_cfg):
     assert np.array_equal(back.subjects, e.subjects)
     assert back.fs == e.fs and back.n_classes == e.n_classes
 
-    ps = round_through_f32(init_params(tiny_cfg, seed=4))
+    ps = round_through_f32(init_params(tiny_cfg, seed=4), tiny_cfg.np_dtype)
     snap = tmp_path / "m.bin"
     save_snapshot(snap, ps)
     values = load_snapshot(snap)

@@ -27,3 +27,15 @@ def test_no_module_imports_an_unused_name():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_definition_is_used_in_its_module():
+    # a helper left behind by a deletion (no caller in its own module) fails here
+    orphans = []
+    for path in sorted(Path(lidsn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        orphans += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and node.name not in used]
+    assert orphans == []

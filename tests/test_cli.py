@@ -345,6 +345,17 @@ BAD_FLAGS = {
                           "n_folds"),
     "split_train_fraction_above_one": (["split", "--data", "{data}", "--protocol", "CO",
                                         "--train-fraction", "1.5"], "train_fraction"),
+    "features_outer_window_nan": (["features", "--data", "{data}", "--out", "{root}/f.eegb",
+                                   "--outer-window", "nan"], "outer window"),
+    "features_outer_window_inf": (["features", "--data", "{data}", "--out", "{root}/f.eegb",
+                                   "--outer-window", "inf"], "outer window"),
+    "features_inner_window_nan": (["features", "--data", "{data}", "--out", "{root}/f.eegb",
+                                   "--outer-window", "1.0", "--inner-window", "nan"],
+                                  "inner window"),
+    # 2 samples at 40 Hz: a 2-sample Hann window is all zeros
+    "features_inner_window_two_samples": (["features", "--data", "{data}", "--out",
+                                           "{root}/f.eegb", "--outer-window", "1.0",
+                                           "--inner-window", "0.05"], "inner window"),
 }
 
 

@@ -60,14 +60,6 @@ def test_epochset_validates_label_range():
     assert e.value.kind == "label_out_of_range"
 
 
-def test_epochset_subset_keeps_metadata():
-    e = synth_generate(small_spec(), seed=0)
-    sub = e.subset(np.array([1, 3, 5]))
-    assert sub.n_trials == 3
-    assert np.array_equal(sub.labels, e.labels[[1, 3, 5]])
-    assert sub.fs == e.fs and sub.n_classes == e.n_classes
-
-
 # ---------------------------------------------------------------------------
 # binary round-trips
 
@@ -556,7 +548,8 @@ def test_split_errors():
         make_split(e, "CV", n_folds=5)
     with pytest.raises(ConfigError):
         make_split(e, "CO", train_fraction=0.05)
-    single = e.subset(np.where(e.subjects == 0)[0])
+    rows = e.subjects == 0
+    single = EpochSet(e.data[rows], e.labels[rows], e.subjects[rows], e.fs, e.n_classes)
     with pytest.raises(ConfigError):
         make_split(single, "LOSO")
     with pytest.raises(ConfigError):

@@ -420,12 +420,12 @@ def test_flag_off_equals_zeroed_weights(tiny_cfg, flag, zero_names):
     model_off = Model.build(cfg_off, seed=17)
     model_on = Model.build(tiny_cfg, seed=17)
     # identical allocation means identical init draws
-    for name in model_on.params.names():
+    for name in model_on.params.tensors:
         assert np.array_equal(model_on.params[name].data, model_off.params[name].data)
     for pattern in zero_names:
         for layer in range(tiny_cfg.temporal_depth):
             name = pattern.format(l=layer)
-            if name in model_on.params:
+            if name in model_on.params.tensors:
                 model_on.params.replace(name, np.zeros_like(model_on.params[name].data))
     x = trial(tiny_cfg, seed=31)
     a = model_on.forward(x[None]).data
@@ -501,9 +501,9 @@ def test_init_is_deterministic(tiny_cfg):
     a = init_params(tiny_cfg, seed=5)
     b = init_params(tiny_cfg, seed=5)
     c = init_params(tiny_cfg, seed=6)
-    for name in a.names():
+    for name in a.tensors:
         assert np.array_equal(a[name].data, b[name].data)
-    assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+    assert any(not np.array_equal(a[n].data, c[n].data) for n in a.tensors)
 
 
 def test_constant_init_of_channel_weights(tiny_cfg):
@@ -515,7 +515,7 @@ def test_snapshot_roundtrip_preserves_logits(tmp_path, tiny_cfg):
     from lidsn.params import round_through_f32
 
     model, _ = build(tiny_cfg, seed=8)
-    model.params = round_through_f32(model.params)
+    model.params = round_through_f32(model.params, tiny_cfg.np_dtype)
     x = trial(tiny_cfg, seed=33)
     base = model.forward(x[None]).data
     path = tmp_path / "m.bin"

@@ -41,12 +41,6 @@ def test_draw_order_matters():
     assert not np.array_equal(first, second)
 
 
-def test_substream_matches_fresh_stream():
-    a = RngStream(11, 0).substream(4).normal(0.0, 1.0, 8)
-    b = RngStream(11, 4).normal(0.0, 1.0, 8)
-    assert np.array_equal(a, b)
-
-
 def test_bernoulli_values_and_rate():
     mask = RngStream(5, 2).bernoulli(0.75, (10000,))
     assert set(np.unique(mask)) <= {0.0, 1.0}

@@ -141,7 +141,7 @@ def test_conv1d_forward_oracle():
 def test_conv1d_depthwise_forward_oracle():
     x, w = rnd(2, 3, 8, seed=15), rnd(3, 3, seed=16)
     expected = naive_depthwise(x, w)
-    out = tz.conv1d_depthwise(Tensor(x), Tensor(w))
+    out = tz.conv1d_depthwise(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
     assert np.allclose(out.data, expected, atol=1e-13)
 
 
@@ -161,7 +161,8 @@ def test_avgpool1d_forward_oracle():
 
 
 def test_unpadded_conv_length_formula():
-    out = tz.conv1d(Tensor(rnd(1, 2, 17, seed=21)), Tensor(rnd(3, 2, 5, seed=22)), stride=4)
+    out = tz.conv1d(Tensor(rnd(1, 2, 17, seed=21)), Tensor(rnd(3, 2, 5, seed=22)),
+                    Tensor(np.zeros(3)), stride=4)
     assert out.shape[-1] == (17 - 1) // 4 + 1
 
 
@@ -264,7 +265,7 @@ def weighted_sum(y: Tensor) -> Tensor:
     "add", "sub", "mul", "scale", "matmul", "gelu", "cosine", "softmax",
     "l2norm", "layernorm", "reduce_sum", "reduce_mean", "reshape", "swapaxes",
     "concat", "select", "avgpool", "conv1d", "conv_pointwise", "conv_depthwise",
-    "conv1d_tokenizer", "conv_depthwise_2d_long_kernel", "avgpool_tiled", "avgpool_overlap",
+    "conv1d_tokenizer", "conv_depthwise_long_kernel", "avgpool_tiled", "avgpool_overlap",
 ])
 def test_primitive_gradients(name):
     r = RngStream(41, 50)
@@ -304,12 +305,12 @@ def test_primitive_gradients(name):
         "conv_depthwise": (lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
                            [t(2, 4, 7), t(4, 3), t(4)]),
         # tokenizer shapes: one input channel at a wide stride, a kernel longer
-        # than the 2-d input it slides over, tiled and overlapping pools
+        # than the input it slides over (K > T), tiled and overlapping pools
         "conv1d_tokenizer": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=4)),
                              [t(3, 1, 19), t(2, 1, 7), t(2)]),
-        "conv_depthwise_2d_long_kernel": (
+        "conv_depthwise_long_kernel": (
             lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
-            [t(3, 4), t(3, 7), t(3)]),
+            [t(1, 3, 4), t(3, 7), t(3)]),
         "avgpool_tiled": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 4, 4)), [t(2, 3, 13)]),
         "avgpool_overlap": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 5, 2)), [t(3, 12)]),
     }
@@ -376,8 +377,8 @@ def test_backward_returns_map_and_writes_grad():
     with Tape() as tape:
         loss = tz.reduce_sum(tz.scale(x, 3.0))
         grads = backward(loss, tape)
+    assert list(grads) == [x]
     assert np.allclose(grads[x], 3.0)
-    assert np.allclose(x.grad, 3.0)
 
 
 def test_backward_clears_tape():
@@ -446,8 +447,8 @@ def test_backward_matches_keep_everything_walk(program, seed):
         grads = backward(loss, tape)
     assert set(grads) == set(ref_leaves)
     for t, g in ref_leaves.items():
-        assert np.array_equal(grads[t], g) and t.grad is grads[t]
-    assert all(t.grad is None for t in intermediates)
+        assert np.array_equal(grads[t], g)
+    assert not any(t in grads for t in intermediates)
 
 
 def test_backward_peak_does_not_grow_with_chain_length():
@@ -506,7 +507,7 @@ def test_nonfinite_input_is_named_as_the_cause():
     x = rnd(2, 3, 5, seed=47)
     x[1, 2, 3] = np.nan
     with pytest.raises(NumericError, match="conv1d_pointwise: non-finite input$"):
-        tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)))
+        tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)), Tensor(np.zeros(4)))
 
 
 def test_overflow_from_finite_inputs_is_named():
@@ -542,6 +543,16 @@ def test_batchnorm_train_rejects_batch_of_one():
 def test_tensor_promotes_non_float_dtypes_to_f64():
     t = Tensor(np.array([1, 2, 3], dtype=np.int64))
     assert t.dtype == np.float64
+
+
+@pytest.mark.parametrize("op", ["conv1d", "conv1d_pointwise", "conv1d_depthwise"])
+def test_conv_rejects_input_that_is_not_3d(op):
+    x = Tensor(np.ones((3, 8)))
+    w, b = {"conv1d": ((4, 3, 3), 4), "conv1d_pointwise": ((4, 3), 4),
+            "conv1d_depthwise": ((3, 3), 3)}[op]
+    with pytest.raises(ShapeError) as err:
+        getattr(tz, op)(x, Tensor(np.ones(w)), Tensor(np.zeros(b)))
+    assert "(3, 8)" in str(err.value) and str(w) in str(err.value)
 
 
 def test_concat_rejects_mismatched_shapes():
@@ -617,7 +628,7 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
     dcols = dcols.reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
     assert np.array_equal(dx, tap_loop_adjoint(dcols, stride, t + k - 1)[..., half_k : half_k + t])
     wd = r.normal(0.0, 1.0, (cin, k))
-    out = tz.conv1d_depthwise(Tensor(x), Tensor(wd)).data
+    out = tz.conv1d_depthwise(Tensor(x), Tensor(wd), Tensor(np.zeros(cin))).data
     assert np.allclose(out, naive_depthwise(x, wd), rtol=0, atol=1e-12)
     window = 1 + stride_extra % t
     pool_stride = 1 + seed % (window + 2)
@@ -631,32 +642,28 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
 
 @given(
     n=st.integers(1, 3), c=st.integers(1, 3), t=st.integers(1, 80), half_k=st.integers(0, 20),
-    two_d=st.booleans(), f32=st.booleans(), seed=st.integers(0, 10_000),
+    f32=st.booleans(), seed=st.integers(0, 10_000),
 )
 @settings(max_examples=60, deadline=None)
-@example(n=2, c=3, t=75, half_k=12, two_d=False, f32=False, seed=1)  # T = 2 * 32 + 11
-@example(n=2, c=2, t=4, half_k=6, two_d=False, f32=False, seed=2)  # T < K
-@example(n=3, c=2, t=40, half_k=0, two_d=False, f32=False, seed=3)  # K = 1
-@example(n=1, c=3, t=70, half_k=20, two_d=False, f32=False, seed=4)  # B = 1, K - 1 > 32
-@example(n=1, c=2, t=50, half_k=3, two_d=True, f32=False, seed=5)  # [C, T]
-@example(n=2, c=3, t=64, half_k=12, two_d=False, f32=True, seed=6)
-@example(n=70, c=2, t=40, half_k=12, two_d=False, f32=False, seed=7)  # N > 32: three batch chunks
-def test_banded_depthwise_matches_tap_loops(n, c, t, half_k, two_d, f32, seed):
+@example(n=2, c=3, t=75, half_k=12, f32=False, seed=1)  # T = 2 * 32 + 11
+@example(n=2, c=2, t=4, half_k=6, f32=False, seed=2)  # T < K
+@example(n=3, c=2, t=40, half_k=0, f32=False, seed=3)  # K = 1
+@example(n=1, c=3, t=70, half_k=20, f32=False, seed=4)  # B = 1, K - 1 > 32
+@example(n=2, c=3, t=64, half_k=12, f32=True, seed=6)
+@example(n=70, c=2, t=40, half_k=12, f32=False, seed=7)  # N > 32: three batch chunks
+def test_banded_depthwise_matches_tap_loops(n, c, t, half_k, f32, seed):
     k = 2 * half_k + 1
-    n = 1 if two_d else n
     dtype = np.float32 if f32 else np.float64
     r = RngStream(seed, 65)
     x, w, g = (r.normal(0.0, 1.0, shape).astype(dtype) for shape in ((n, c, t), (c, k), (n, c, t)))
     x64, w64, g64 = (a.astype(np.float64) for a in (x, w, g))
-    xt, wt = Tensor(x[0] if two_d else x, requires_grad=True), Tensor(w, requires_grad=True)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     with Tape() as tape:
-        out = tz.conv1d_depthwise(xt, wt)
-        grads = backward(tz.reduce_sum(tz.mul(out, Tensor(g[0] if two_d else g))), tape)
+        out = tz.conv1d_depthwise(xt, wt, Tensor(np.zeros(c, dtype=dtype)))
+        grads = backward(tz.reduce_sum(tz.mul(out, Tensor(g))), tape)
     dx, dw = tap_loop_depthwise_grads(x64, w64, g64)
-    lead = (lambda a: a[0]) if two_d else (lambda a: a)
     tol = 1e-12 if dtype == np.float64 else 1e-4
-    for got, want in ((out.data, lead(naive_depthwise(x64, w64))), (grads[xt], lead(dx)),
-                      (grads[wt], dw)):
+    for got, want in ((out.data, naive_depthwise(x64, w64)), (grads[xt], dx), (grads[wt], dw)):
         assert got.dtype == dtype and got.shape == want.shape
         assert np.allclose(got, want, rtol=tol, atol=tol)
 

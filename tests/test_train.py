@@ -233,8 +233,9 @@ def test_train_is_deterministic(tiny_cfg):
         out = train_model(tiny_cfg, cfg, x[:20], e.labels[:20], x[20:], e.labels[20:])
         runs.append(out)
     assert runs[0].curves == runs[1].curves
-    for name in runs[0].best_values:
-        assert np.array_equal(runs[0].best_values[name], runs[1].best_values[name])
+    best = [run.model.params.value_dict() for run in runs]
+    for name in best[0]:
+        assert np.array_equal(best[0][name], best[1][name])
 
 
 def test_train_early_stopping_invariant(tiny_cfg):
@@ -378,8 +379,10 @@ def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch
     assert a["std_accuracy"] == pytest.approx(np.std(fold_accs, ddof=1), abs=1e-15)
     for fa, fb in zip(a["folds"], b["folds"]):
         assert fa.metrics == fb.metrics
-        for name in fa.outcome.best_values:
-            assert np.array_equal(fa.outcome.best_values[name], fb.outcome.best_values[name])
+        best_a = fa.outcome.model.params.value_dict()
+        best_b = fb.outcome.model.params.value_dict()
+        for name in best_a:
+            assert np.array_equal(best_a[name], best_b[name])
 
 
 def test_run_protocol_reports_aggregates(tiny_cfg):
