@@ -416,6 +416,29 @@ def _composite_config() -> ModelConfig:
     ).validate()
 
 
+_JITTER_STREAMS = (5, 7, 8, 9, 10)  # stream 6 picks the probed coordinates
+
+
+def _jittered_clear_draw(model: Model, seed: int) -> np.ndarray:
+    """Jitter the model's parameters, then draw an input clear of the ReLU kinks.
+
+    Zero-init biases park the ReLUs exactly on their kink, where central
+    differences are invalid, so the parameters move to a generic point first.
+    Some jitters leave a ReLU pre-activation near zero for every input; then
+    the next stream jitters the initial parameters afresh.
+    """
+    init = {name: t.data for name, t in model.params.tensors.items()}
+    for stream in _JITTER_STREAMS:
+        rng = RngStream(seed, stream=stream)
+        for name, data in init.items():
+            model.params.replace(name, data + rng.normal(0.0, 0.1, data.shape))
+        try:
+            return clear_input_draw(model, 2, rng)
+        except NumericError:
+            if stream == _JITTER_STREAMS[-1]:
+                raise
+
+
 def cmd_grad_check(args) -> int:
     _check_seed(args.seed)
     if args.max_coords < 1:
@@ -432,13 +455,7 @@ def cmd_grad_check(args) -> int:
 
     cfg = _composite_config()
     model = Model.build(cfg, seed=args.seed)
-    data_rng = RngStream(args.seed, stream=5)
-    # zero-init biases park the ReLUs exactly on their kink, where central
-    # differences are invalid; jitter to a generic point before probing
-    for name in model.params.tensors:
-        t = model.params[name]
-        model.params.replace(name, t.data + data_rng.normal(0.0, 0.1, t.shape))
-    x = Tensor(clear_input_draw(model, 2, data_rng), requires_grad=True)
+    x = Tensor(_jittered_clear_draw(model, args.seed), requires_grad=True)
     labels = np.array([0, 1])
     weights = np.ones(cfg.n_classes)
     param_list = list(model.params.tensors.values())

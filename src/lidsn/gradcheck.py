@@ -19,11 +19,13 @@ def relu_clearance(model, x: np.ndarray) -> float:
     the step size of zero, which makes the numeric derivative wrong even
     though the analytic one is exact. Callers probing a full network should
     pick inputs whose clearance comfortably exceeds the perturbation scale.
-    The pre-activations are read off the tape of one eval-mode forward pass.
+    The pre-activations are read off the tape of one eval-mode forward pass:
+    a relu rule closes over its pre-activation and nothing else.
     """
     with Tape() as tape:
         model.forward(x)
-    return min(float(np.abs(e.inputs[0].data).min()) for e in tape.entries if e.op == "relu")
+    return min(float(np.abs(e.backward.__closure__[0].cell_contents).min())
+               for e in tape.entries if e.op == "relu")
 
 
 def clear_input_draw(model, batch: int, rng: RngStream, min_clearance: float = 1e-3,

@@ -8,9 +8,17 @@ it goes; it returns the gradients of the leaves, the requires_grad tensors no
 entry produced, as a map keyed by tensor. Tensors hold no gradient themselves.
 With no active tape the primitives are plain numpy computations.
 
-Tensors are immutable once produced; parameter updates replace tensors rather
-than writing into them. The only mutable state is BatchNormState, updated
-explicitly by train-mode batchnorm.
+Each recorded output gets a node, a small identity key. A tape entry holds
+its op name, the node of its output, the node of each input (the Tensor
+itself for a leaf, None for an input that needs no gradient) and its backward
+rule. A rule closes over exactly the arrays, shapes and scalars it reads,
+never a Tensor, so the tape keeps no activation that no rule reads.
+
+Primitives never write into an input's array. Parameters are the exception
+to immutability: ``Adam.step`` rebinds ``.data`` on the live parameter
+Tensors, the same objects the gradient map is keyed by. Rules therefore
+capture a parameter's array when they are recorded. BatchNormState is the
+other mutable state, updated explicitly by train-mode batchnorm.
 
 All primitives raise NumericError on a non-finite output, naming a non-finite
 input as the cause when there is one; backward checks every input gradient
@@ -34,7 +42,7 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 class Tensor:
     """Immutable dense float array, optionally flagged as needing a gradient."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -42,6 +50,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.node = None  # set by the tape entry that produces it
 
     @property
     def shape(self):
@@ -74,7 +83,7 @@ class Tensor:
 class TapeEntry:
     __slots__ = ("op", "inputs", "output", "backward")
 
-    def __init__(self, op: str, inputs: tuple, output: Tensor, backward: Callable):
+    def __init__(self, op: str, inputs: tuple, output: object, backward: Callable):
         self.op = op
         self.inputs = inputs
         self.output = output
@@ -108,6 +117,12 @@ def active_tape() -> Tape | None:
     return _STACK.tapes[-1] if _STACK.tapes else None
 
 
+def _taping(inputs: tuple) -> Tape | None:
+    """The tape a primitive on these inputs records onto, or None."""
+    tapes = _STACK.tapes
+    return tapes[-1] if tapes and any(t.requires_grad for t in inputs) else None
+
+
 def _record(op: str, out_data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
     """Wrap out_data; record the backward rule if anything upstream needs it."""
     if not np.all(np.isfinite(out_data)):
@@ -115,11 +130,13 @@ def _record(op: str, out_data: np.ndarray, inputs: tuple, backward: Callable) ->
         if any(not np.all(np.isfinite(t.data)) for t in inputs):
             raise NumericError(f"{op}: non-finite input")
         raise NumericError(f"{op}: non-finite output from finite inputs")
-    tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        tape.entries.append(TapeEntry(op, inputs, out, backward))
+    tape = _taping(inputs)
+    out = Tensor(out_data, requires_grad=tape is not None)
+    if tape is not None:
+        out.node = object()
+        keys = tuple((t if t.node is None else t.node) if t.requires_grad else None
+                     for t in inputs)
+        tape.entries.append(TapeEntry(op, keys, out.node, backward))
     return out
 
 
@@ -134,24 +151,25 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     """
     if loss.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not any(e.output is loss for e in tape.entries):
+    if not any(e.output is loss.node for e in tape.entries):
         raise ConfigError("backward: loss was not produced on this tape")
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.dtype)}
+    # keyed by node, or by the Tensor itself for a leaf
+    grads: dict[object, np.ndarray] = {loss.node: np.ones((), dtype=loss.dtype)}
     while tape.entries:
         entry = tape.entries.pop()
         g = grads.pop(entry.output, None)
         if g is None:
             continue
-        for t, gi in zip(entry.inputs, entry.backward(g)):
-            if gi is None or not t.requires_grad:
+        for key, gi in zip(entry.inputs, entry.backward(g)):
+            if key is None or gi is None:
                 continue
             if not np.all(np.isfinite(gi)):
                 raise NumericError(f"{entry.op}: non-finite gradient")
-            if t in grads:
+            if key in grads:
                 # out of place: add's rule hands the same array to both operands
-                grads[t] = grads[t] + gi
+                grads[key] = grads[key] + gi
             else:
-                grads[t] = gi
+                grads[key] = gi
     return grads
 
 
@@ -174,27 +192,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record("add", out, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record("sub", out, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def back(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _record("mul", out, (a, b), back)
 
@@ -213,53 +234,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
     return _record("matmul", out, (a, b), back)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
+    # the rule keeps the pre-activation, its one array: gradcheck.relu_clearance
+    # reads it there
+    pre = x.data
+    out = np.where(pre > 0, pre, 0.0)
 
     def back(g):
-        return (g * mask,)
+        return (g * (pre > 0),)
 
     return _record("relu", out, (x,), back)
 
 
 def gelu(x: Tensor) -> Tensor:
     # exact Gaussian-CDF form: x * Phi(x), with Phi = 0.5 * (1 + erf(x / sqrt(2)))
-    cdf = x.data * _INV_SQRT2
+    xd = x.data
+    cdf = xd * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = x.data * cdf
+    out = xd * cdf
+    if _taping((x,)) is not None:
+        # the derivative Phi(x) + x * phi(x) is the one array the rule keeps
+        deriv = xd * xd
+        deriv *= -0.5
+        np.exp(deriv, out=deriv)
+        deriv *= _INV_SQRT2PI
+        deriv *= xd
+        deriv += cdf
 
     def back(g):
-        # g * (Phi(x) + x * phi(x)), one scratch array
-        d = x.data * x.data
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= x.data
-        d += cdf
-        d *= g
-        return (d,)
+        # in place: a rule runs once, when backward pops its entry
+        return (np.multiply(deriv, g, out=deriv),)
 
     return _record("gelu", out, (x,), back)
 
 
 def cosine(x: Tensor) -> Tensor:
-    out = np.cos(x.data)
+    xd = x.data
+    out = np.cos(xd)
 
     def back(g):
-        return (-g * np.sin(x.data),)
+        return (-g * np.sin(xd),)
 
     return _record("cosine", out, (x,), back)
 
@@ -279,42 +306,46 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def l2norm(x: Tensor, axis: int = -1) -> Tensor:
-    norms = np.sqrt(np.sum(x.data * x.data, axis=axis, keepdims=True))
+    xd = x.data
+    norms = np.sqrt(np.sum(xd * xd, axis=axis, keepdims=True))
     out = np.squeeze(norms, axis=axis)
 
     def back(g):
         safe = np.where(norms > 0.0, norms, 1.0)
-        return (np.expand_dims(g, axis) * np.where(norms > 0.0, x.data / safe, 0.0),)
+        return (np.expand_dims(g, axis) * np.where(norms > 0.0, xd / safe, 0.0),)
 
     return _record("l2norm", out, (x,), back)
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     out = np.sum(x.data, axis=axis)
+    shape, dtype = x.shape, x.dtype
 
     def back(g):
         gk = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk, x.shape).astype(x.dtype, copy=False),)
+        return (np.broadcast_to(gk, shape).astype(dtype, copy=False),)
 
     return _record("sum", out, (x,), back)
 
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
     out = np.mean(x.data, axis=axis)
-    n = x.size if axis is None else x.shape[axis]
+    shape, dtype = x.shape, x.dtype
+    n = x.size if axis is None else shape[axis]
 
     def back(g):
         gk = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk / n, x.shape).astype(x.dtype, copy=False),)
+        return (np.broadcast_to(gk / n, shape).astype(dtype, copy=False),)
 
     return _record("mean", out, (x,), back)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = np.reshape(x.data, shape)
+    in_shape = x.shape
 
     def back(g):
-        return (np.reshape(g, x.shape),)
+        return (np.reshape(g, in_shape),)
 
     return _record("reshape", out, (x,), back)
 
@@ -352,9 +383,10 @@ def select(x: Tensor, index: tuple) -> Tensor:
     if len(index) != x.ndim:
         raise ShapeError(f"select index {index} does not address shape {x.shape}")
     out = np.asarray(x.data[index])
+    shape, dtype = x.shape, x.dtype
 
     def back(g):
-        gx = np.zeros(x.shape, dtype=x.dtype)
+        gx = np.zeros(shape, dtype=dtype)
         gx[index] = g
         return (gx,)
 
@@ -394,14 +426,14 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    d = x.shape[-1]
+    gd = gain.data
+    out = xhat * gd + bias.data
 
     def back(g):
         lead = tuple(range(g.ndim - 1))
         dgain = np.sum(g * xhat, axis=lead)
         dbias = np.sum(g, axis=lead)
-        dxhat = g * gain.data
+        dxhat = g * gd
         m1 = np.mean(dxhat, axis=-1, keepdims=True)
         m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
@@ -459,7 +491,8 @@ def batchnorm(
         state.var = (1.0 - momentum) * state.var + momentum * var
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv.reshape(shape_f)
-        out = xhat * gain.data.reshape(shape_f)
+        gd = gain.data
+        out = xhat * gd.reshape(shape_f)
         out += bias.data.reshape(shape_f)
 
         def back(g):
@@ -469,23 +502,24 @@ def batchnorm(
             dx = xhat * (-dgain / n_red).reshape(shape_f)
             dx += g
             dx -= (dbias / n_red).reshape(shape_f)
-            dx *= (inv * gain.data).reshape(shape_f)
+            dx *= (inv * gd).reshape(shape_f)
             return dx, dgain, dbias
 
         return _record("batchnorm", out, (x, gain, bias), back)
 
+    xd, gd = x.data, gain.data
     mean, inv = state.mean, 1.0 / np.sqrt(state.var + eps)
     # one array, normalized in place: eval batches are the largest ones
-    out = x.data - mean.reshape(shape_f)
+    out = xd - mean.reshape(shape_f)
     out *= inv.reshape(shape_f)
-    out *= gain.data.reshape(shape_f)
+    out *= gd.reshape(shape_f)
     out += bias.data.reshape(shape_f)
 
     def back(g):
-        xhat = (x.data - mean.reshape(shape_f)) * inv.reshape(shape_f)
+        xhat = (xd - mean.reshape(shape_f)) * inv.reshape(shape_f)
         dgain = np.einsum(f"{dims},{dims}->f", g, xhat)
         dbias = np.einsum(f"{dims}->f", g)
-        dx = g * (gain.data * inv).reshape(shape_f)
+        dx = g * (gd * inv).reshape(shape_f)
         return dx, dgain, dbias
 
     return _record("batchnorm", out, (x, gain, bias), back)
@@ -535,19 +569,22 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
     hi = stride * (t_out - 1) + 1
     win = sliding_window_view(xpad, k, axis=2)[:, :, :hi:stride]
+    wd, needs_dx = w.data, x.requires_grad
     # one matmul per input channel straight on the window view: no copy of the taps
-    out = np.matmul(w.data[:, 0], win[:, 0].transpose(0, 2, 1))
+    out = np.matmul(wd[:, 0], win[:, 0].transpose(0, 2, 1))
     for i in range(1, cin):
-        out += np.matmul(w.data[:, i], win[:, i].transpose(0, 2, 1))
+        out += np.matmul(wd[:, i], win[:, i].transpose(0, 2, 1))
     out += b.data[:, None]
 
     def back(g):
         g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
         # the window view copied to one row of taps per output step
         cols = win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
-        dw = (g2.T @ cols).reshape(w.shape)
-        dcols = (g2 @ w.data.reshape(cout, cin * k)).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
-        dx = _window_adjoint(dcols, stride, pad + t)[:, :, pad:]
+        dw = (g2.T @ cols).reshape(wd.shape)
+        dx = None
+        if needs_dx:
+            dcols = (g2 @ wd.reshape(cout, cin * k)).reshape(n, t_out, cin, k).transpose(0, 2, 1, 3)
+            dx = _window_adjoint(dcols, stride, pad + t)[:, :, pad:]
         return dx, dw, g.sum(axis=(0, 2))
 
     return _record("conv1d", out, (x, w, b), back)
@@ -563,11 +600,12 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"pointwise: input channels {x.shape[1]} != kernel Cin {cin}")
     if b.shape != (cout,):
         raise ShapeError(f"pointwise bias shape {b.shape} != ({cout},)")
-    out = np.matmul(w.data, x.data) + b.data[:, None]
+    xd, wd, needs_dx = x.data, w.data, x.requires_grad
+    out = np.matmul(wd, xd) + b.data[:, None]
 
     def back(g):
-        dw = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))
-        return np.matmul(w.data.T, g), dw, g.sum(axis=(0, 2))
+        dw = np.tensordot(g, xd, axes=([0, 2], [0, 2]))
+        return np.matmul(wd.T, g) if needs_dx else None, dw, g.sum(axis=(0, 2))
 
     return _record("conv1d_pointwise", out, (x, w, b), back)
 
@@ -641,13 +679,14 @@ def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"depthwise: input channels {x.shape[1]} != kernel C {c}")
     if b.shape != (c,):
         raise ShapeError(f"depthwise bias shape {b.shape} != ({c},)")
-    out = _depthwise_apply(x.data, w.data)
+    xd, wd = x.data, w.data
+    out = _depthwise_apply(xd, wd)
     out += b.data[:, None]
 
     def back(g):
-        dw = _depthwise_weight_grad(x.data, g, k)
+        dw = _depthwise_weight_grad(xd, g, k)
         # the input gradient correlates the padded g with the reversed taps
-        return _depthwise_apply(g, w.data[:, ::-1]), dw, g.sum(axis=(0, 2))
+        return _depthwise_apply(g, wd[:, ::-1]), dw, g.sum(axis=(0, 2))
 
     return _record("conv1d_depthwise", out, (x, w, b), back)
 

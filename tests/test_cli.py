@@ -235,6 +235,15 @@ def test_grad_check_command(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed", [7, 14, 31, 45])
+def test_grad_check_rejitters_a_model_no_input_clears(seed, capsys):
+    # the first jitter of these seeds keeps a ReLU pre-activation within 1e-3
+    # of zero for every input draw
+    assert main(["grad-check", "--seed", str(seed), "--max-coords", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "full_network" in out and "FAIL" not in out
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

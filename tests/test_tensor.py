@@ -1,5 +1,6 @@
 """Tensor engine: forward oracles, backward checks, tape semantics, errors."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import erf
 from lidsn import tensor as tz
 from lidsn.errors import ConfigError, NumericError, ShapeError
 from lidsn.gradcheck import grad_check
+from lidsn.network import Model
 from lidsn.rng import RngStream
 from lidsn.tensor import BatchNormState, Tape, Tensor, backward
 
@@ -390,18 +392,17 @@ def test_backward_clears_tape():
 
 
 def reference_walk(loss, entries):
-    """Keep-everything reverse walk: every gradient, intermediates included."""
-    grads = {id(loss): np.ones((), dtype=loss.dtype)}
-    keep = {id(loss): loss}
+    """Keep-everything reverse walk: every gradient, intermediates included,
+    keyed like the entries' inputs (a node, or the Tensor itself for a leaf)."""
+    grads = {loss.node: np.ones((), dtype=loss.dtype)}
     for entry in reversed(entries):
-        g = grads.get(id(entry.output))
+        g = grads.get(entry.output)
         if g is None:
             continue
-        for t, gi in zip(entry.inputs, entry.backward(g)):
-            if gi is not None and t.requires_grad:
-                keep[id(t)] = t
-                grads[id(t)] = grads[id(t)] + gi if id(t) in grads else gi
-    return {keep[k]: g for k, g in grads.items()}
+        for key, gi in zip(entry.inputs, entry.backward(g)):
+            if gi is not None and key is not None:
+                grads[key] = grads[key] + gi if key in grads else gi
+    return grads
 
 
 WALK_OPS = {
@@ -439,8 +440,8 @@ def test_backward_matches_keep_everything_walk(program, seed):
               Tensor(rnd(3, 4, seed=seed + 2)))
     with Tape() as tape:
         ref = reference_walk(run_program(program, leaves), tape.entries)
-    produced = {id(e.output) for e in tape.entries}
-    ref_leaves = {t: g for t, g in ref.items() if id(t) not in produced}
+    produced = {e.output for e in tape.entries}
+    ref_leaves = {t: g for t, g in ref.items() if t not in produced}
     with Tape() as tape:
         loss = run_program(program, leaves)
         intermediates = [e.output for e in tape.entries]
@@ -469,6 +470,44 @@ def test_backward_peak_does_not_grow_with_chain_length():
     finally:
         tracemalloc.stop()
     assert peak - held < 4 * x.data.nbytes, (peak - held) / x.data.nbytes
+
+
+def test_no_backward_rule_holds_a_tensor(tiny_cfg):
+    """Rules close over arrays, shapes and scalars: a Tensor in a closure
+    would pin every array it holds for the whole step."""
+    cfg = replace(tiny_cfg, integration_mode="bidir", dropout=0.1).validate()
+    model = Model.build(cfg, seed=3)
+    x = Tensor(rnd(4, cfg.n_channels, cfg.n_samples, seed=61))
+    with Tape() as tape:
+        model.forward(x, rng=RngStream(3, 1), training=True)
+    ops = {e.op for e in tape.entries}
+    assert {"conv1d", "conv1d_pointwise", "gelu", "batchnorm", "softmax", "relu"} <= ops
+    for e in tape.entries:
+        # an entry names its inputs by node; only a leaf is its own key
+        assert all(not isinstance(k, Tensor) or k.node is None for k in e.inputs), e.op
+        for cell in e.backward.__closure__ or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            assert not any(isinstance(v, Tensor) for v in items), e.op
+
+
+def test_tape_keeps_no_array_its_rules_do_not_read():
+    """reshape, add and avgpool1d rules read only shapes and scalars, so after
+    a 30-op chain on a 1 MiB array the tape holds none of the chain's arrays."""
+    x = Tensor(rnd(128, 1024, seed=62), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            y = x
+            for _ in range(10):
+                y = tz.avgpool1d(tz.add(tz.reshape(y, (128, 1024)), x), 1, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.entries) == 30
+    # the last output, y, is the one chain array still alive
+    assert held < 3 * x.data.nbytes, held / x.data.nbytes
 
 
 def test_no_tape_means_no_recording():
