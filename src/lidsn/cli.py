@@ -75,7 +75,7 @@ class RunConfig:
     train_fraction: float = 0.8
     seeds: tuple[int, ...] = (0,)
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.n_folds < 2:
@@ -84,7 +84,10 @@ class RunConfig:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
-        return self
+        if self.train.seed != 0:
+            raise ConfigError(
+                f"train.seed must be 0, got {self.train.seed}: job seeds come from 'seeds'"
+            )
 
     def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
         """The model section, filled in for this data geometry and validated."""
@@ -306,7 +309,7 @@ def cmd_features(args) -> int:
 
 def cmd_split(args) -> int:
     run = RunConfig(protocol=args.protocol, n_folds=args.n_folds,
-                    train_fraction=args.train_fraction).validate()
+                    train_fraction=args.train_fraction)
     plan = make_split(load_epochs(args.data), run.protocol, n_folds=run.n_folds,
                       train_fraction=run.train_fraction)
     payload = {
@@ -413,7 +416,7 @@ def _composite_config() -> ModelConfig:
         kernel_len=5, pool_window=10, pool_stride=10, spatial_conv_stride=4,
         spatial_pool_window=5, spatial_pool_stride=5, integration_mode="bidir",
         classifier_hidden=8,
-    ).validate()
+    )
 
 
 _JITTER_STREAMS = (5, 7, 8, 9, 10)  # stream 6 picks the probed coordinates

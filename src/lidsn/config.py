@@ -78,7 +78,7 @@ class ModelConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.n_channels < 1 or self.n_samples < 1 or self.n_classes < 2:
             raise ConfigError(
                 f"need n_channels >= 1, n_samples >= 1, n_classes >= 2; got "
@@ -123,9 +123,10 @@ class ModelConfig:
             raise ConfigError("use_tsia=false is only defined for integration_mode 'st2t'")
         if self.fusion_hidden < 0:
             raise ConfigError(f"fusion_hidden must be >= 0, got {self.fusion_hidden}")
+        if self.fusion_width < 1:
+            raise ConfigError("fusion width embed_dim // 2 is 0; set fusion_hidden >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
-        return self
 
 
 def _read(tp, value, path: str):
@@ -144,12 +145,13 @@ def _read(tp, value, path: str):
 
 
 def from_dict(cls, raw, where: str = "", **overrides):
-    """Build a config dataclass from parsed JSON plus ``overrides``, then validate it.
+    """Build a config dataclass from parsed JSON plus ``overrides``.
 
     Unknown keys, missing required keys and wrong JSON types raise a
     ConfigError naming the key path (``train.lr``, ``classes[1].freq_hz``).
     Bools never pass as ints, ints widen to floats, NaN and infinity are
     rejected, and nested dataclasses and ``tuple[X, ...]`` fields recurse.
+    Range checks belong to each config type's ``__post_init__``.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config'} must be object, got {raw!r}")
@@ -162,8 +164,7 @@ def from_dict(cls, raw, where: str = "", **overrides):
         if keys:
             names = ", ".join(sorted(prefix + k for k in keys))
             raise ConfigError(f"{problem} config keys: {names}")
-    obj = cls(**{k: _read(hints[k], v, prefix + k) for k, v in merged.items()})
-    return obj.validate() if hasattr(obj, "validate") else obj
+    return cls(**{k: _read(hints[k], v, prefix + k) for k, v in merged.items()})
 
 
 def model_config_from_dict(raw: dict, **geometry) -> ModelConfig:

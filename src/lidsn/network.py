@@ -242,7 +242,7 @@ class Model:
     """Configured network: parameter set plus forward conveniences."""
 
     def __init__(self, cfg: ModelConfig, params: ParamSet):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.params = params
 
     @classmethod

@@ -165,7 +165,6 @@ class ParamSet:
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamSet:
     """Draw a fresh parameter set; same (cfg, seed) gives identical values."""
-    cfg.validate()
     rng = RngStream(seed, INIT_STREAM)
     dtype = cfg.np_dtype
     ps = ParamSet()
@@ -281,7 +280,6 @@ def count_flops(cfg: ModelConfig) -> int:
 
 def count_params_flops(cfg: ModelConfig) -> tuple[int, int]:
     """(active parameter count, eval-mode single-trial forward FLOPs)."""
-    cfg.validate()
     return count_params(cfg), count_flops(cfg)
 
 

@@ -34,7 +34,7 @@ class TrainConfig:
     class_weight_mode: str = "inverse"
     val_fraction: float = 0.1
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         if not (self.lr > 0):
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 2:
@@ -63,7 +63,6 @@ class TrainConfig:
             )
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        return self
 
 
 def class_weights(labels: np.ndarray, n_classes: int, mode: str = "inverse") -> np.ndarray:
@@ -239,8 +238,6 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     reloaded on-disk snapshot reproduces final_train_acc exactly. With an
     empty validation set early stopping is disabled and the final epoch wins.
     """
-    model_cfg.validate()
-    train_cfg.validate()
     model = Model.build(model_cfg, seed=train_cfg.seed)
     weights = class_weights(y_train, model_cfg.n_classes, train_cfg.class_weight_mode)
     shuffle = RngStream(train_cfg.seed, SHUFFLE_STREAM)

@@ -49,7 +49,7 @@ def tiny_cfg():
         n_heads=2, temporal_depth=2, spatial_depth=1, dropout=0.0, ffn_expansion=2,
         kernel_len=5, pool_window=10, pool_stride=10, spatial_conv_stride=4,
         spatial_pool_window=5, spatial_pool_stride=5, classifier_hidden=8,
-    ).validate()
+    )
 
 
 def rand(rng_seed: int, *shape) -> np.ndarray:

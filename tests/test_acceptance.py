@@ -79,7 +79,7 @@ def random_tiny_config(i: int) -> ModelConfig:
         use_electrode_pos_embedding=i % 4 != 1,
         head_shared_electrode_embedding=i % 6 == 0,
         **geo,
-    ).validate()
+    )
 
 
 def jittered_model(cfg: ModelConfig, seed: int) -> Model:
@@ -233,7 +233,7 @@ def test_criterion_3_architecture_invariants(tiny_cfg):
 def test_criterion_4_parameter_and_flop_accounting():
     """Reference config inside the published budget; ablation deltas match
     closed-form shape arithmetic exactly."""
-    cfg = ModelConfig(n_channels=22, n_samples=1000, n_classes=2).validate()
+    cfg = ModelConfig(n_channels=22, n_samples=1000, n_classes=2)
     params, flops = count_params_flops(cfg)
     assert 121_300 * 0.7 <= params <= 121_300 * 1.3
     assert 6_120_000 / 2 <= flops <= 6_120_000 * 2
@@ -294,7 +294,7 @@ def test_criterion_5_end_to_end_learning():
     accs = {}
     for mode in ("st2t", "none"):
         cfg = ModelConfig(n_channels=8, n_samples=512, n_classes=2,
-                          integration_mode=mode).validate()
+                          integration_mode=mode)
         fold = run_fold(epochs_set, tr, te, cfg, tcfg, fold=0)
         accs[mode] = fold.metrics["accuracy"]
         assert fold.outcome.epochs_run <= 50

@@ -1,8 +1,16 @@
 """Package surface."""
 import ast
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import lidsn
+from lidsn.cli import RunConfig
+from lidsn.config import ModelConfig
+from lidsn.data import SynthSpec
+from lidsn.errors import ConfigError
+from lidsn.training import TrainConfig
 
 
 def test_every_exported_name_resolves():
@@ -39,3 +47,22 @@ def test_every_private_definition_is_used_in_its_module():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and node.name not in used]
     assert orphans == []
+
+
+# (config type, required fields, one out-of-range field)
+CONFIG_TYPES = [
+    (ModelConfig, {"n_channels": 8, "n_samples": 512, "n_classes": 2}, {"dropout": 1.0}),
+    (TrainConfig, {}, {"lr": 0.0}),
+    (RunConfig, {}, {"n_folds": 1}),
+    (SynthSpec, {}, {"n_subjects": 0}),
+]
+
+
+@pytest.mark.parametrize("cls, required, bad", CONFIG_TYPES,
+                         ids=[c[0].__name__ for c in CONFIG_TYPES])
+def test_config_is_checked_when_built(cls, required, bad):
+    valid = cls(**required)
+    with pytest.raises(ConfigError):
+        cls(**required, **bad)
+    with pytest.raises(ConfigError):
+        replace(valid, **bad)

@@ -323,6 +323,9 @@ BAD_CONFIGS = {
     "fusion_hidden_negative": ("train", _model(fusion_hidden=-7), "fusion_hidden"),
     "seeds_negative": ("train", dict(RUN_CONFIG, seeds=[-1]), "seeds"),
     "train_seed_negative": ("train", _train(seed=-1), "seed"),
+    "train_seed_nonzero": ("train", _train(seed=5), "seeds"),
+    "fusion_width_zero_train": ("train", _model(embed_dim=1, n_heads=1), "fusion"),
+    "fusion_width_zero_count": ("count", {"model": {"embed_dim": 1, "n_heads": 1}}, "fusion"),
 }
 
 

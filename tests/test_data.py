@@ -236,11 +236,11 @@ def test_synth_amplitude_scales_carrier():
 
 def test_synth_spec_validation():
     with pytest.raises(ConfigError):
-        small_spec(classes=(ClassRecipe(10.0, (9,)), ClassRecipe(22.0, (0,)))).validate()
+        small_spec(classes=(ClassRecipe(10.0, (9,)), ClassRecipe(22.0, (0,))))
     with pytest.raises(ConfigError):
-        small_spec(n_subjects=0).validate()
+        small_spec(n_subjects=0)
     with pytest.raises(ConfigError):
-        small_spec(classes=(ClassRecipe(10.0, (0,)),)).validate()
+        small_spec(classes=(ClassRecipe(10.0, (0,)),))
 
 
 def test_synth_spec_from_dict_roundtrip():

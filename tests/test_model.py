@@ -282,7 +282,7 @@ def test_tsia_matches_oracle(tiny_cfg):
 
 @pytest.mark.parametrize("mode", ["st2t", "st2s", "bidir", "none"])
 def test_full_forward_matches_oracle(tiny_cfg, mode):
-    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "integration_mode": mode}).validate()
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "integration_mode": mode})
     model, vals = build(cfg, seed=3)
     x = trial(cfg, seed=21)
     got = model.forward(x[None]).data[0]
@@ -291,7 +291,7 @@ def test_full_forward_matches_oracle(tiny_cfg, mode):
 
 
 def test_forward_matches_oracle_mean_concat_fusion(tiny_cfg):
-    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "fusion_mode": "mean-concat"}).validate()
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "fusion_mode": "mean-concat"})
     model, vals = build(cfg, seed=4)
     x = trial(cfg, seed=22)
     got = model.forward(x[None]).data[0]
@@ -299,7 +299,7 @@ def test_forward_matches_oracle_mean_concat_fusion(tiny_cfg):
 
 
 def test_forward_matches_oracle_without_tsia(tiny_cfg):
-    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "use_tsia": False}).validate()
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "use_tsia": False})
     model, vals = build(cfg, seed=5)
     x = trial(cfg, seed=23)
     got = model.forward(x[None]).data[0]
@@ -307,7 +307,7 @@ def test_forward_matches_oracle_without_tsia(tiny_cfg):
 
 
 def test_forward_matches_oracle_head_shared_embedding(tiny_cfg):
-    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "head_shared_electrode_embedding": True}).validate()
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "head_shared_electrode_embedding": True})
     model, vals = build(cfg, seed=6)
     assert vals["layer0.tsia.electrode_embedding"].shape[0] == 1
     x = trial(cfg, seed=24)
@@ -367,7 +367,7 @@ def test_st2t_leaves_spatial_stream_untouched_by_temporal(tiny_cfg):
 
 
 def test_st2s_leaves_temporal_stream_untouched_by_spatial(tiny_cfg):
-    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "integration_mode": "st2s"}).validate()
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "integration_mode": "st2s"})
     model, _ = build(cfg)
     r = RngStream(15, 208)
     z_t = Tensor(r.normal(0, 1, (1, cfg.n_patches, cfg.embed_dim)))
@@ -379,7 +379,7 @@ def test_st2s_leaves_temporal_stream_untouched_by_spatial(tiny_cfg):
 
 
 def test_none_mode_streams_are_independent(tiny_cfg):
-    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "integration_mode": "none"}).validate()
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), "integration_mode": "none"})
     model, _ = build(cfg)
     r = RngStream(16, 209)
     z_t = Tensor(r.normal(0, 1, (1, cfg.n_patches, cfg.embed_dim)))
@@ -416,7 +416,7 @@ def test_channel_permutation_equivariance(tiny_cfg):
     ("use_positional_embedding", ["position.temporal", "position.spatial"]),
 ])
 def test_flag_off_equals_zeroed_weights(tiny_cfg, flag, zero_names):
-    cfg_off = ModelConfig(**{**_cfg_dict(tiny_cfg), flag: False}).validate()
+    cfg_off = ModelConfig(**{**_cfg_dict(tiny_cfg), flag: False})
     model_off = Model.build(cfg_off, seed=17)
     model_on = Model.build(tiny_cfg, seed=17)
     # identical allocation means identical init draws
@@ -438,7 +438,7 @@ def test_flag_off_equals_zeroed_weights(tiny_cfg, flag, zero_names):
 
 
 def reference_cfg():
-    return ModelConfig(n_channels=22, n_samples=1000, n_classes=2).validate()
+    return ModelConfig(n_channels=22, n_samples=1000, n_classes=2)
 
 
 def test_reference_patch_count():
@@ -573,7 +573,7 @@ def test_forward_finite_for_random_small_configs(mode, heads, seed):
         ffn_expansion=2, kernel_len=3, pool_window=6, pool_stride=6,
         spatial_conv_stride=3, spatial_pool_window=2, spatial_pool_stride=2,
         integration_mode=mode, classifier_hidden=4,
-    ).validate()
+    )
     model = Model.build(cfg, seed=seed)
     x = RngStream(seed, 211).normal(0, 1, (2, 2, 24))
     out = model.forward(x).data

@@ -475,7 +475,7 @@ def test_backward_peak_does_not_grow_with_chain_length():
 def test_no_backward_rule_holds_a_tensor(tiny_cfg):
     """Rules close over arrays, shapes and scalars: a Tensor in a closure
     would pin every array it holds for the whole step."""
-    cfg = replace(tiny_cfg, integration_mode="bidir", dropout=0.1).validate()
+    cfg = replace(tiny_cfg, integration_mode="bidir", dropout=0.1)
     model = Model.build(cfg, seed=3)
     x = Tensor(rnd(4, cfg.n_channels, cfg.n_samples, seed=61))
     with Tape() as tape:

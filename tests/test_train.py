@@ -306,13 +306,13 @@ def test_batches_partition_order_with_two_rows_each(n, batch_size, seed):
 
 def test_train_config_validation_and_parsing():
     with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0).validate()
+        TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(beta2=1.0).validate()
+        TrainConfig(beta2=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=5, patience=6).validate()
+        TrainConfig(epochs=5, patience=6)
     with pytest.raises(ConfigError, match="batchnorm"):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
         from_dict(TrainConfig, {"lr": 0.01, "bogus": 1})
     cfg = from_dict(TrainConfig, {"lr": 0.01, "epochs": 30})
