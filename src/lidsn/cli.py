@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import tensor as tz
 from .config import ModelConfig, from_dict, model_config_from_dict
 from .data import (
     PROTOCOLS,
@@ -33,17 +32,10 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
-from .gradcheck import clear_input_draw, grad_check
+from .gradcheck import battery
 from .network import Model, saliency
 from .params import count_params_flops, load_snapshot, save_snapshot
-from .rng import RngStream
-from .tensor import BatchNormState, Tensor
-from .training import (
-    TrainConfig,
-    evaluate_model,
-    run_protocol,
-    weighted_cross_entropy,
-)
+from .training import TrainConfig, evaluate_model, run_protocol
 from .viz import format_cell, matrix_csv, save_heatmap, write_csv
 
 _VIZ_STEMS = {"affinity": "sacm", "attention": "tcam", "importance": "omega"}
@@ -268,7 +260,7 @@ def cmd_export_viz(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# data utilities
+# utilities
 
 
 def _check_seed(seed: int) -> None:
@@ -342,143 +334,17 @@ def cmd_count(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# grad-check battery
-
-
-def _battery(seed: int):
-    """(name, fn, inputs) triples covering every differentiable primitive."""
-    rng = RngStream(seed, stream=4)
-
-    def t(*shape):
-        return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
-
-    def away_from_kinks(x: Tensor) -> Tensor:
-        d = x.data.copy()
-        d += 0.2 * np.sign(d) + (d == 0) * 0.2
-        return Tensor(d, requires_grad=True)
-
-    labels = np.array([0, 2, 1, 0])
-    ce_w = np.array([1.0, 0.5, 1.5])
-    drop_seed = seed + 17
-
-    def run_dropout(ts):
-        mask_rng = RngStream(drop_seed, stream=2)
-        return tz.reduce_sum(tz.dropout(ts[0], 0.4, mask_rng, training=True))
-
-    def run_batchnorm(ts):
-        state = BatchNormState(3, np.float64)
-        return tz.reduce_sum(
-            tz.mul(tz.batchnorm(ts[0], ts[1], ts[2], state, True, 0.1, 1e-5), ts[3])
-        )
-
-    items = [
-        ("add", lambda ts: tz.reduce_sum(tz.add(ts[0], ts[1])), [t(3, 4), t(4)]),
-        ("sub", lambda ts: tz.reduce_sum(tz.sub(ts[0], ts[1])), [t(3, 4), t(3, 4)]),
-        ("mul", lambda ts: tz.reduce_sum(tz.mul(ts[0], ts[1])), [t(3, 4), t(3, 1)]),
-        ("scale", lambda ts: tz.reduce_sum(tz.scale(ts[0], -1.7)), [t(3, 4)]),
-        ("matmul", lambda ts: tz.reduce_sum(tz.matmul(ts[0], ts[1])), [t(2, 3, 4), t(4, 5)]),
-        ("relu", lambda ts: tz.reduce_sum(tz.relu(ts[0])), [away_from_kinks(t(3, 4))]),
-        ("gelu", lambda ts: tz.reduce_sum(tz.gelu(ts[0])), [t(3, 4)]),
-        ("cosine", lambda ts: tz.reduce_sum(tz.mul(tz.cosine(ts[0]), ts[1])), [t(3, 4), t(3, 4)]),
-        ("softmax", lambda ts: tz.reduce_sum(tz.mul(tz.softmax(ts[0], axis=-1), ts[1])),
-         [t(3, 5), t(3, 5)]),
-        ("l2norm", lambda ts: tz.reduce_sum(tz.l2norm(ts[0], axis=-1)), [t(3, 4)]),
-        ("layernorm", lambda ts: tz.reduce_sum(tz.mul(tz.layernorm(ts[0], ts[1], ts[2], 1e-5), ts[3])),
-         [t(3, 5), t(5), t(5), t(3, 5)]),
-        ("batchnorm", run_batchnorm, [t(4, 3), t(3), t(3), t(4, 3)]),
-        ("conv1d", lambda ts: tz.reduce_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=2)),
-         [t(2, 3, 8), t(4, 3, 3), t(4)]),
-        ("conv1d_pointwise", lambda ts: tz.reduce_sum(tz.conv1d_pointwise(ts[0], ts[1], ts[2])),
-         [t(2, 3, 5), t(4, 3), t(4)]),
-        ("conv1d_depthwise", lambda ts: tz.reduce_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
-         [t(2, 3, 8), t(3, 3), t(3)]),
-        ("avgpool1d", lambda ts: tz.reduce_sum(tz.avgpool1d(ts[0], 3, 2)), [t(2, 3, 9)]),
-        ("reduce_mean", lambda ts: tz.reduce_sum(tz.mul(tz.reduce_mean(ts[0], axis=1), ts[1])),
-         [t(3, 4, 2), t(3, 2)]),
-        ("reshape_swap_concat",
-         lambda ts: tz.reduce_sum(
-             tz.concat([tz.reshape(ts[0], (3, 4)), tz.swapaxes(ts[1], 0, 1)], axis=-1)
-         ),
-         [t(4, 3), t(5, 3)]),
-        ("select", lambda ts: tz.select(ts[0], (1, 2)), [t(3, 4)]),
-        ("dropout", run_dropout, [t(4, 5)]),
-        ("weighted_cross_entropy",
-         lambda ts: weighted_cross_entropy(ts[0], labels, ce_w), [t(4, 3)]),
-    ]
-    return items
-
-
-def _composite_config() -> ModelConfig:
-    return ModelConfig(
-        n_channels=3, n_samples=40, n_classes=2, embed_dim=8, spatial_maps=2,
-        n_heads=2, temporal_depth=2, spatial_depth=1, dropout=0.0, ffn_expansion=2,
-        kernel_len=5, pool_window=10, pool_stride=10, spatial_conv_stride=4,
-        spatial_pool_window=5, spatial_pool_stride=5, integration_mode="bidir",
-        classifier_hidden=8,
-    )
-
-
-_JITTER_STREAMS = (5, 7, 8, 9, 10)  # stream 6 picks the probed coordinates
-
-
-def _jittered_clear_draw(model: Model, seed: int) -> np.ndarray:
-    """Jitter the model's parameters, then draw an input clear of the ReLU kinks.
-
-    Zero-init biases park the ReLUs exactly on their kink, where central
-    differences are invalid, so the parameters move to a generic point first.
-    Some jitters leave a ReLU pre-activation near zero for every input; then
-    the next stream jitters the initial parameters afresh.
-    """
-    init = {name: t.data for name, t in model.params.tensors.items()}
-    for stream in _JITTER_STREAMS:
-        rng = RngStream(seed, stream=stream)
-        for name, data in init.items():
-            model.params.replace(name, data + rng.normal(0.0, 0.1, data.shape))
-        try:
-            return clear_input_draw(model, 2, rng)
-        except NumericError:
-            if stream == _JITTER_STREAMS[-1]:
-                raise
-
-
 def cmd_grad_check(args) -> int:
     _check_seed(args.seed)
     if args.max_coords < 1:
         raise ConfigError(f"--max-coords must be >= 1, got {args.max_coords}")
-    worst_overall = 0.0
-    failures = []
-    for name, fn, inputs in _battery(args.seed):
-        err = grad_check(fn, inputs)
-        worst_overall = max(worst_overall, err)
-        status = "ok" if err < 1e-6 else "FAIL"
-        if err >= 1e-6:
+    worst, failures = 0.0, []
+    for name, err, tolerance in battery(args.seed, args.max_coords):
+        worst = max(worst, err)
+        if err >= tolerance:
             failures.append(f"{name} ({err:.3e})")
-        print(f"{name} max_rel_err={err:.3e} {status}")
-
-    cfg = _composite_config()
-    model = Model.build(cfg, seed=args.seed)
-    x = Tensor(_jittered_clear_draw(model, args.seed), requires_grad=True)
-    labels = np.array([0, 1])
-    weights = np.ones(cfg.n_classes)
-    param_list = list(model.params.tensors.values())
-
-    def run_model(ts):
-        xt = ts[0]
-        for name, candidate in zip(model.params.tensors, ts[1:]):
-            model.params.tensors[name] = candidate
-        logits = model.forward(xt)
-        return weighted_cross_entropy(logits, labels, weights)
-
-    err = grad_check(run_model, [x] + param_list,
-                     max_coords_per_input=args.max_coords,
-                     coord_rng=RngStream(args.seed, stream=6))
-    worst_overall = max(worst_overall, err)
-    status = "ok" if err < 1e-4 else "FAIL"
-    if err >= 1e-4:
-        failures.append(f"full_network ({err:.3e})")
-    print(f"full_network max_rel_err={err:.3e} {status}")
-    print(f"overall={worst_overall:.3e}")
+        print(f"{name} max_rel_err={err:.3e} {'ok' if err < tolerance else 'FAIL'}")
+    print(f"overall={worst:.3e}")
     if failures:
         raise NumericError(f"gradient check failed: {', '.join(failures)}")
     return 0

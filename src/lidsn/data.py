@@ -170,8 +170,10 @@ class SynthSpec:
             raise ConfigError("need at least one subject and one trial per subject")
         if self.n_channels < 1 or self.n_samples < 2:
             raise ConfigError("need n_channels >= 1 and n_samples >= 2")
-        if not (self.fs > 0):
-            raise ConfigError(f"fs must be positive, got {self.fs}")
+        with np.errstate(over="ignore"):
+            fs32 = np.float32(self.fs)  # files store fs as float32
+        if not 0 < fs32 < np.inf:
+            raise ConfigError(f"fs must be positive and finite as float32, got {self.fs}")
         if len(self.classes) < 2:
             raise ConfigError("need at least two class recipes")
         for i, r in enumerate(self.classes):
@@ -180,6 +182,8 @@ class SynthSpec:
                 raise ConfigError(f"class {i} uses channels {bad} outside [0, {self.n_channels})")
         if self.gain_spread < 0 or self.gain_spread >= 1:
             raise ConfigError("gain_spread must be in [0, 1)")
+        if not self.freq_jitter_hz >= 0:
+            raise ConfigError(f"freq_jitter_hz must be >= 0, got {self.freq_jitter_hz}")
 
 
 def _pink_noise(rng, n_channels: int, n_samples: int, exponent: float, fs: float) -> np.ndarray:
@@ -195,6 +199,7 @@ def _pink_noise(rng, n_channels: int, n_samples: int, exponent: float, fs: float
     return shaped / std
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite sample, rejected at the end
 def synth_generate(spec: SynthSpec, seed: int) -> EpochSet:
     """Deterministic synthetic epochs: class oscillations plus 1/f and white noise.
 
@@ -232,6 +237,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> EpochSet:
             subjects[row] = subj
             row += 1
     data = data.astype(np.float32).astype(np.float64)
+    if not np.isfinite(data).all():
+        raise ConfigError("synthetic samples overflow float32: lower pink_exponent or the "
+                          "class amplitude")
     return EpochSet(data, labels, subjects, spec.fs, n_classes)
 
 
@@ -292,6 +300,14 @@ class FeatureArgs:
     inner_window_s: float = 2.0
     inner_overlap: float = 0.75
 
+    def __post_init__(self):
+        for name in ("outer", "inner"):
+            overlap, seconds = getattr(self, f"{name}_overlap"), getattr(self, f"{name}_window_s")
+            if not 0.0 <= overlap < 1.0:
+                raise ConfigError(f"{name} overlap must lie in [0, 1), got {overlap}")
+            if not seconds > 0:
+                raise ConfigError(f"{name} window must be positive, got {seconds} s")
+
 
 def rpsd_features(
     epochs: EpochSet,
@@ -314,8 +330,7 @@ def rpsd_features(
         raise ConfigError("band set must not be empty")
     if epochs.n_trials == 0:
         raise ConfigError("cannot compute features of an empty epoch set")
-    if not 0.0 <= outer_overlap < 1.0 or not 0.0 <= inner_overlap < 1.0:
-        raise ConfigError("overlaps must lie in [0, 1)")
+    FeatureArgs(outer_window_s, outer_overlap, inner_window_s, inner_overlap)  # range checks
     fs = epochs.fs
     for name, seconds in (("outer", outer_window_s), ("inner", inner_window_s)):
         if not np.isfinite(seconds * fs):

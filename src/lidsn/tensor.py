@@ -246,7 +246,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    # the rule keeps the pre-activation, its one array: gradcheck.relu_clearance
+    # the rule keeps the pre-activation, its one array: gradcheck.clear_input_draw
     # reads it there
     pre = x.data
     out = np.where(pre > 0, pre, 0.0)
@@ -566,10 +566,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     n, _, t = x.shape
     pad = k // 2
     t_out = (t - 1) // stride + 1
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    hi = stride * (t_out - 1) + 1
-    win = sliding_window_view(xpad, k, axis=2)[:, :, :hi:stride]
-    wd, needs_dx = w.data, x.requires_grad
+    xd, wd, needs_dx = x.data, w.data, x.requires_grad
+
+    def windows():  # [N, Cin, T_out, K]; the rule pads again rather than keep a padded copy
+        xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+        return sliding_window_view(xpad, k, axis=2)[:, :, ::stride]
+
+    win = windows()
     # one matmul per input channel straight on the window view: no copy of the taps
     out = np.matmul(wd[:, 0], win[:, 0].transpose(0, 2, 1))
     for i in range(1, cin):
@@ -579,7 +582,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     def back(g):
         g2 = g.transpose(0, 2, 1).reshape(n * t_out, cout)
         # the window view copied to one row of taps per output step
-        cols = win.transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
+        cols = windows().transpose(0, 2, 1, 3).reshape(n * t_out, cin * k)
         dw = (g2.T @ cols).reshape(wd.shape)
         dx = None
         if needs_dx:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lidsn import tensor as tz
-from lidsn.cli import _battery, main
+from lidsn.cli import main
 from lidsn.config import ModelConfig
 from lidsn.data import (
     ClassRecipe,
@@ -26,7 +26,7 @@ from lidsn.data import (
     synth_generate,
 )
 from lidsn.errors import DataFormatError
-from lidsn.gradcheck import clear_input_draw, grad_check
+from lidsn.gradcheck import clear_input_draw, grad_check, primitive_cases
 from lidsn.network import (
     Model,
     ffn_block,
@@ -96,7 +96,7 @@ def test_criterion_1_gradient_suite():
     at least 20 random tiny configs, in under two minutes."""
     t0 = time.perf_counter()
 
-    for name, fn, inputs in _battery(seed=0):
+    for name, fn, inputs in primitive_cases(seed=0):
         err = grad_check(fn, inputs)
         assert err < 1e-5, f"primitive {name}: {err:.3e}"
 

@@ -8,7 +8,7 @@ import pytest
 import lidsn
 from lidsn.cli import RunConfig
 from lidsn.config import ModelConfig
-from lidsn.data import SynthSpec
+from lidsn.data import FeatureArgs, SynthSpec
 from lidsn.errors import ConfigError
 from lidsn.training import TrainConfig
 
@@ -49,12 +49,29 @@ def test_every_private_definition_is_used_in_its_module():
     assert orphans == []
 
 
+def test_cli_imports_no_engine_internals():
+    # the CLI reaches the tensor engine and the random streams only through
+    # the modules that own them (gradcheck, network, training)
+    tree = ast.parse((Path(lidsn.__file__).parent / "cli.py").read_text())
+    engine = {"tensor", "rng"}
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("lidsn.")
+            names = {alias.name for alias in node.names} if module in ("", "lidsn") else {module}
+            imported += sorted(names & engine)
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.removeprefix("lidsn.") in engine]
+    assert imported == []
+
+
 # (config type, required fields, one out-of-range field)
 CONFIG_TYPES = [
     (ModelConfig, {"n_channels": 8, "n_samples": 512, "n_classes": 2}, {"dropout": 1.0}),
     (TrainConfig, {}, {"lr": 0.0}),
     (RunConfig, {}, {"n_folds": 1}),
     (SynthSpec, {}, {"n_subjects": 0}),
+    (FeatureArgs, {}, {"outer_overlap": 5.0}),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from lidsn.cli import canonical_json, main
 from lidsn.data import load_epochs
+from lidsn.gradcheck import primitive_cases
 
 SYNTH_SPEC = {
     "n_subjects": 2,
@@ -230,9 +231,11 @@ def test_count_requires_geometry(capsys):
 
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--seed", "0", "--max-coords", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "full_network" in out and "overall=" in out
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    names = [name for name, _, _ in primitive_cases(0)] + ["full_network"]
+    assert [line.split()[0] for line in lines[:-1]] == names
+    assert lines[-1].startswith("overall=")
+    assert all(line.endswith(" ok") for line in lines[:-1])
 
 
 @pytest.mark.parametrize("seed", [7, 14, 31, 45])
@@ -326,6 +329,19 @@ BAD_CONFIGS = {
     "train_seed_nonzero": ("train", _train(seed=5), "seeds"),
     "fusion_width_zero_train": ("train", _model(embed_dim=1, n_heads=1), "fusion"),
     "fusion_width_zero_count": ("count", {"model": {"embed_dim": 1, "n_heads": 1}}, "fusion"),
+    # checked even with "features" false, where the feature stage never runs
+    "feature_overlap_out_of_range": ("train", dict(RUN_CONFIG, feature_args={
+        "outer_overlap": 5.0, "inner_window_s": -1.0}), "outer overlap"),
+    "feature_window_negative": ("train", dict(RUN_CONFIG, feature_args={"inner_window_s": -1.0}),
+                                "inner window"),
+    "synth_freq_jitter_negative": ("synth", dict(SYNTH_SPEC, freq_jitter_hz=-3.0),
+                                   "freq_jitter_hz"),
+    "synth_fs_f32_overflow": ("synth", dict(SYNTH_SPEC, fs=1e300), "fs"),
+    "synth_fs_f32_underflow": ("synth", dict(SYNTH_SPEC, fs=1e-300), "fs"),
+    # 0.5 Hz frequency bins: 0.5 ** -5e5 overflows the 1/f shaping
+    "synth_pink_exponent_huge": ("synth", dict(SYNTH_SPEC, n_samples=80, pink_exponent=1e6),
+                                 "pink_exponent"),
+    "synth_amplitude_huge": ("synth", _classes(amplitude=1e39), "amplitude"),
 }
 
 

@@ -510,6 +510,23 @@ def test_tape_keeps_no_array_its_rules_do_not_read():
     assert held < 3 * x.data.nbytes, held / x.data.nbytes
 
 
+def test_taped_conv1d_keeps_no_padded_copy_of_its_input():
+    """The strided conv1d rule pads its input again in backward: besides the
+    output, the tape holds less than one input's worth of memory."""
+    x = Tensor(rnd(8, 4, 4096, seed=63), requires_grad=True)
+    w, b = Tensor(rnd(6, 4, 9, seed=64), requires_grad=True), Tensor(np.zeros(6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = tz.conv1d(x, w, b, stride=2)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape.entries) == 1
+    assert held < x.data.nbytes, held / x.data.nbytes
+
+
 def test_no_tape_means_no_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     out = tz.mul(x, x)
