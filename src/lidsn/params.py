@@ -1,15 +1,20 @@
 """Parameter table, initialization, complexity accounting, snapshots.
 
-Parameter names form a stable dot-separated table; iteration order is the
-canonical build order, so a (config, seed) pair always produces the same
-draws. Ablation switches (cosine gate, embeddings, fusion mode) do not change
-the allocated table, only which entries the forward pass and the complexity
-count consider active; integration_mode and use_tsia do change the table
-because they change which blocks exist.
+One walk of the layer stack, ``_blocks``, yields each named block in canonical
+build order (``temporal_tokenizer``, ``spatial_tokenizer``, ``position``,
+``layer{i}.spatial_ffn``, ``layer{i}.temporal_ffn``, ``layer{i}.tsia`` /
+``layer{i}.tsia_rev`` or ``layer{i}.concat_proj``, ``fusion``, ``classifier``)
+with its parameter specs and its forward FLOPs; the parameter table and both
+counts read it. Names are dot-separated and the table's order is the draw
+order, so a (config, seed) pair always produces the same values. Ablation
+switches (cosine gate, embeddings, fusion mode) do not change the allocated
+table, only which entries the forward pass and the counts consider active;
+integration_mode and use_tsia change which blocks exist.
 """
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,86 +34,166 @@ INIT_STREAM = 0
 class ParamSpec:
     name: str
     shape: tuple
-    init: tuple  # ("uniform", fan_in) | ("zeros",) | ("ones",) | ("const", v) | ("normal", std)
+    init: tuple  # ("uniform", fan_in) | ("normal", std) | ("const", value), zeros and ones too
     active: bool  # counted by count_params_flops for this config
 
 
-def _ffn_specs(prefix: str, cfg: ModelConfig) -> list[ParamSpec]:
+_ZERO, _ONE = ("const", 0.0), ("const", 1.0)
+_Block = tuple[str, list[ParamSpec], int]  # (name, parameter specs, FLOPs)
+
+
+# ---------------------------------------------------------------------------
+# block table
+#
+# FLOP conventions (single-trial eval-mode forward): multiply-add pairs in
+# convs/matmuls cost 2, bias/add/mul/ReLU/cos cost 1 per element, GELU 4,
+# softmax 4, eval batchnorm 2, layernorm 8, avgpool 1 per pooled-in element.
+
+
+def _ffn(prefix: str, rows: int, cfg: ModelConfig) -> _Block:
     d, e = cfg.embed_dim, cfg.ffn_expansion
-    return [
-        ParamSpec(f"{prefix}.norm.gain", (d,), ("ones",), True),
-        ParamSpec(f"{prefix}.norm.bias", (d,), ("zeros",), True),
+    specs = [
+        ParamSpec(f"{prefix}.norm.gain", (d,), _ONE, True),
+        ParamSpec(f"{prefix}.norm.bias", (d,), _ZERO, True),
         ParamSpec(f"{prefix}.expand.weight", (d, e * d), ("uniform", d), True),
-        ParamSpec(f"{prefix}.expand.bias", (e * d,), ("zeros",), True),
+        ParamSpec(f"{prefix}.expand.bias", (e * d,), _ZERO, True),
         ParamSpec(f"{prefix}.contract.weight", (e * d, d), ("uniform", e * d), True),
-        ParamSpec(f"{prefix}.contract.bias", (d,), ("zeros",), True),
+        ParamSpec(f"{prefix}.contract.bias", (d,), _ZERO, True),
     ]
+    f = 8 * rows * d
+    f += 2 * rows * d * e * d + rows * e * d
+    f += 4 * rows * e * d
+    f += 2 * rows * e * d * d + rows * d
+    f += rows * d  # residual add
+    return prefix, specs, f
 
 
-def _tsia_specs(prefix: str, cfg: ModelConfig, source_rows: int, embed_name: str) -> list[ParamSpec]:
+def _tsia(prefix: str, cfg: ModelConfig, source_rows: int, target_rows: int,
+          embed_name: str) -> _Block:
     d, h, dh = cfg.embed_dim, cfg.n_heads, cfg.head_dim
+    c, p = source_rows, target_rows
     heads = 1 if cfg.head_shared_electrode_embedding else h
-    return [
+    specs = [
         ParamSpec(f"{prefix}.query_a", (h, d, dh), ("uniform", d), True),
         ParamSpec(f"{prefix}.query_b", (h, d, dh), ("uniform", d), True),
-        ParamSpec(f"{prefix}.{embed_name}", (heads, source_rows, dh), ("normal", 0.02),
+        ParamSpec(f"{prefix}.{embed_name}", (heads, c, dh), ("normal", 0.02),
                   cfg.use_electrode_pos_embedding),
         ParamSpec(f"{prefix}.value", (h, d, dh), ("uniform", d), True),
         ParamSpec(f"{prefix}.gate", (h, d, dh), ("uniform", d), cfg.use_cosine_gate),
         ParamSpec(f"{prefix}.key", (h, d, dh), ("uniform", d), True),
         ParamSpec(f"{prefix}.out.weight", (d, d), ("uniform", d), True),
     ]
+    # pooled-context side on the source stream
+    f = 2 * (2 * h * c * d * dh)  # two query projections
+    if cfg.use_electrode_pos_embedding:
+        f += 2 * h * c * dh
+    f += 2 * h * c * c * dh + h * c * c + 4 * h * c * c  # scores, scale, softmax
+    f += 2 * h * c * c * dh  # context
+    f += 2 * h * c * dh + h * c + 4 * h * c  # row norms + importance softmax
+    f += 2 * h * c * dh  # weighted pooling
+    # refinement side on the target stream
+    n_proj = 3 if cfg.use_cosine_gate else 2
+    f += n_proj * 2 * h * p * d * dh
+    if cfg.use_cosine_gate:
+        f += 2 * h * p * dh  # cos + gating multiply
+    f += 2 * h * dh * dh * p + h * dh * dh + 4 * h * dh * dh
+    f += 2 * h * p * dh * dh
+    # integration
+    f += h * p * dh  # broadcast gate multiply
+    f += 2 * p * d * d  # output projection
+    return prefix, specs, f
+
+
+def _blocks(cfg: ModelConfig) -> Iterator[_Block]:
+    """Each named block of a validated config, in canonical build order."""
+    c, t, d = cfg.n_channels, cfg.n_samples, cfg.embed_dim
+    s, k = cfg.spatial_maps, cfg.kernel_len
+    p, ps, tc = cfg.n_patches, cfg.spatial_patches, cfg.spatial_conv_len
+    f = 2 * d * c * t + d * t
+    f += 2 * d * t  # eval batchnorm
+    f += 2 * d * t * k + d * t
+    f += 4 * d * t
+    f += d * (cfg.pool_window * p + p)
+    yield "temporal_tokenizer", [
+        ParamSpec("temporal_tokenizer.pointwise.weight", (d, c), ("uniform", c), True),
+        ParamSpec("temporal_tokenizer.pointwise.bias", (d,), _ZERO, True),
+        ParamSpec("temporal_tokenizer.norm.gain", (d,), _ONE, True),
+        ParamSpec("temporal_tokenizer.norm.bias", (d,), _ZERO, True),
+        ParamSpec("temporal_tokenizer.depthwise.weight", (d, k), ("uniform", k), True),
+        ParamSpec("temporal_tokenizer.depthwise.bias", (d,), _ZERO, True),
+    ], f
+    # shared across channels
+    f = c * (2 * s * k * tc + s * tc)
+    f += 4 * c * s * tc
+    f += 2 * c * s * tc
+    f += c * s * (cfg.spatial_pool_window * ps + ps)
+    f += c * 2 * (s * ps) * d
+    yield "spatial_tokenizer", [
+        ParamSpec("spatial_tokenizer.conv.weight", (s, 1, k), ("uniform", k), True),
+        ParamSpec("spatial_tokenizer.conv.bias", (s,), _ZERO, True),
+        ParamSpec("spatial_tokenizer.norm.gain", (s,), _ONE, True),
+        ParamSpec("spatial_tokenizer.norm.bias", (s,), _ZERO, True),
+        ParamSpec("spatial_tokenizer.proj.weight", (s * ps, d), ("uniform", s * ps), True),
+    ], f
+    pos = cfg.use_positional_embedding
+    yield "position", [
+        ParamSpec("position.temporal", (p, d), ("normal", 0.02), pos),
+        ParamSpec("position.spatial", (c, d), ("normal", 0.02), pos),
+    ], (p * d + c * d) if pos else 0
+    for layer in range(cfg.temporal_depth):
+        if layer < cfg.spatial_depth:
+            yield _ffn(f"layer{layer}.spatial_ffn", c, cfg)
+        yield _ffn(f"layer{layer}.temporal_ffn", p, cfg)
+        if not cfg.use_tsia:
+            yield f"layer{layer}.concat_proj", [
+                ParamSpec(f"layer{layer}.concat_proj.weight", (2 * d, d), ("uniform", 2 * d), True)
+            ], c * d + 2 * p * 2 * d * d
+            continue
+        if cfg.integration_mode in ("st2t", "bidir"):
+            yield _tsia(f"layer{layer}.tsia", cfg, c, p, "electrode_embedding")
+        if cfg.integration_mode in ("st2s", "bidir"):
+            yield _tsia(f"layer{layer}.tsia_rev", cfg, p, c, "token_embedding")
+    w = cfg.fusion_width
+    adaptive = cfg.fusion_mode == "adaptive"
+    if adaptive:
+        f = 2 * p * d * w + p * w + p * w  # hidden + bias + relu
+        f += 2 * p * w + p + 4 * p  # score + bias + softmax
+        f += 2 * p * d  # temporal weighted sum
+        f += 2 * c * d  # channel-weighted spatial pooling
+    else:
+        f = p * d + c * d
+    yield "fusion", [
+        ParamSpec("fusion.channel_weights", (c,), ("const", 1.0 / c), adaptive),
+        ParamSpec("fusion.score.hidden.weight", (d, w), ("uniform", d), adaptive),
+        ParamSpec("fusion.score.hidden.bias", (w,), _ZERO, adaptive),
+        ParamSpec("fusion.score.out.weight", (w, 1), ("uniform", w), adaptive),
+        ParamSpec("fusion.score.out.bias", (1,), _ZERO, adaptive),
+    ], f
+    hc, n = cfg.classifier_hidden, cfg.n_classes
+    yield "classifier", [
+        ParamSpec("classifier.hidden.weight", (2 * d, hc), ("uniform", 2 * d), True),
+        ParamSpec("classifier.hidden.bias", (hc,), _ZERO, True),
+        ParamSpec("classifier.out.weight", (hc, n), ("uniform", hc), True),
+        ParamSpec("classifier.out.bias", (n,), _ZERO, True),
+    ], 2 * 2 * d * hc + hc + hc + 2 * hc * n + n
 
 
 def param_specs(cfg: ModelConfig) -> list[ParamSpec]:
     """Canonical parameter table for a validated config."""
-    c, t, d = cfg.n_channels, cfg.n_samples, cfg.embed_dim
-    s, k = cfg.spatial_maps, cfg.kernel_len
-    p, ps = cfg.n_patches, cfg.spatial_patches
-    specs: list[ParamSpec] = [
-        ParamSpec("temporal_tokenizer.pointwise.weight", (d, c), ("uniform", c), True),
-        ParamSpec("temporal_tokenizer.pointwise.bias", (d,), ("zeros",), True),
-        ParamSpec("temporal_tokenizer.norm.gain", (d,), ("ones",), True),
-        ParamSpec("temporal_tokenizer.norm.bias", (d,), ("zeros",), True),
-        ParamSpec("temporal_tokenizer.depthwise.weight", (d, k), ("uniform", k), True),
-        ParamSpec("temporal_tokenizer.depthwise.bias", (d,), ("zeros",), True),
-        ParamSpec("spatial_tokenizer.conv.weight", (s, 1, k), ("uniform", k), True),
-        ParamSpec("spatial_tokenizer.conv.bias", (s,), ("zeros",), True),
-        ParamSpec("spatial_tokenizer.norm.gain", (s,), ("ones",), True),
-        ParamSpec("spatial_tokenizer.norm.bias", (s,), ("zeros",), True),
-        ParamSpec("spatial_tokenizer.proj.weight", (s * ps, d), ("uniform", s * ps), True),
-        ParamSpec("position.temporal", (p, d), ("normal", 0.02), cfg.use_positional_embedding),
-        ParamSpec("position.spatial", (c, d), ("normal", 0.02), cfg.use_positional_embedding),
-    ]
-    for layer in range(cfg.temporal_depth):
-        if layer < cfg.spatial_depth:
-            specs += _ffn_specs(f"layer{layer}.spatial_ffn", cfg)
-        specs += _ffn_specs(f"layer{layer}.temporal_ffn", cfg)
-        if cfg.use_tsia:
-            if cfg.integration_mode in ("st2t", "bidir"):
-                specs += _tsia_specs(f"layer{layer}.tsia", cfg, c, "electrode_embedding")
-            if cfg.integration_mode in ("st2s", "bidir"):
-                specs += _tsia_specs(f"layer{layer}.tsia_rev", cfg, p, "token_embedding")
-        else:
-            specs.append(
-                ParamSpec(f"layer{layer}.concat_proj.weight", (2 * d, d), ("uniform", 2 * d), True)
-            )
-    w = cfg.fusion_width
-    adaptive = cfg.fusion_mode == "adaptive"
-    specs += [
-        ParamSpec("fusion.channel_weights", (c,), ("const", 1.0 / c), adaptive),
-        ParamSpec("fusion.score.hidden.weight", (d, w), ("uniform", d), adaptive),
-        ParamSpec("fusion.score.hidden.bias", (w,), ("zeros",), adaptive),
-        ParamSpec("fusion.score.out.weight", (w, 1), ("uniform", w), adaptive),
-        ParamSpec("fusion.score.out.bias", (1,), ("zeros",), adaptive),
-        ParamSpec("classifier.hidden.weight", (2 * d, cfg.classifier_hidden),
-                  ("uniform", 2 * d), True),
-        ParamSpec("classifier.hidden.bias", (cfg.classifier_hidden,), ("zeros",), True),
-        ParamSpec("classifier.out.weight", (cfg.classifier_hidden, cfg.n_classes),
-                  ("uniform", cfg.classifier_hidden), True),
-        ParamSpec("classifier.out.bias", (cfg.n_classes,), ("zeros",), True),
-    ]
-    return specs
+    return [spec for _, specs, _ in _blocks(cfg) for spec in specs]
+
+
+def count_params(cfg: ModelConfig) -> int:
+    return sum(int(np.prod(s.shape)) for s in param_specs(cfg) if s.active)
+
+
+def count_flops(cfg: ModelConfig) -> int:
+    return sum(f for _, _, f in _blocks(cfg))
+
+
+def count_params_flops(cfg: ModelConfig) -> tuple[int, int]:
+    """(active parameter count, eval-mode single-trial forward FLOPs)."""
+    return count_params(cfg), count_flops(cfg)
 
 
 class ParamSet:
@@ -156,6 +241,10 @@ class ParamSet:
                     "snapshot_shape_mismatch",
                     f"snapshot entry {name}: stored shape {tuple(arr.shape)} != configured {want}",
                 )
+            if name.endswith(".running_var") and np.any(arr < 0):
+                raise DataFormatError(
+                    "snapshot_negative_variance", f"snapshot entry {name} holds a negative variance"
+                )
         for name in self.tensors:
             self.tensors[name] = Tensor(values[name].astype(dtype), requires_grad=True)
         for site, s in self.states.items():
@@ -175,112 +264,12 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamSet:
             arr = rng.uniform(-bound, bound, spec.shape)
         elif kind == "normal":
             arr = rng.normal(0.0, spec.init[1], spec.shape)
-        elif kind == "zeros":
-            arr = np.zeros(spec.shape)
-        elif kind == "ones":
-            arr = np.ones(spec.shape)
         else:
             arr = np.full(spec.shape, spec.init[1])
         ps.tensors[spec.name] = Tensor(arr.astype(dtype), requires_grad=True)
     ps.states["temporal_tokenizer.norm"] = BatchNormState(cfg.embed_dim, dtype)
     ps.states["spatial_tokenizer.norm"] = BatchNormState(cfg.spatial_maps, dtype)
     return ps
-
-
-# ---------------------------------------------------------------------------
-# complexity accounting
-#
-# FLOP conventions (single-trial eval-mode forward): multiply-add pairs in
-# convs/matmuls cost 2, bias/add/mul/ReLU/cos cost 1 per element, GELU 4,
-# softmax 4, eval batchnorm 2, layernorm 8, avgpool 1 per pooled-in element.
-
-
-def count_params(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s.shape)) for s in param_specs(cfg) if s.active)
-
-
-def _ffn_flops(rows: int, cfg: ModelConfig) -> int:
-    d, e = cfg.embed_dim, cfg.ffn_expansion
-    f = 8 * rows * d
-    f += 2 * rows * d * e * d + rows * e * d
-    f += 4 * rows * e * d
-    f += 2 * rows * e * d * d + rows * d
-    f += rows * d  # residual add
-    return f
-
-
-def _tsia_flops(cfg: ModelConfig, source_rows: int, target_rows: int) -> int:
-    d, h, dh = cfg.embed_dim, cfg.n_heads, cfg.head_dim
-    c, p = source_rows, target_rows
-    f = 0
-    # pooled-context side on the source stream
-    f += 2 * (2 * h * c * d * dh)  # two query projections
-    if cfg.use_electrode_pos_embedding:
-        f += 2 * h * c * dh
-    f += 2 * h * c * c * dh + h * c * c + 4 * h * c * c  # scores, scale, softmax
-    f += 2 * h * c * c * dh  # context
-    f += 2 * h * c * dh + h * c + 4 * h * c  # row norms + importance softmax
-    f += 2 * h * c * dh  # weighted pooling
-    # refinement side on the target stream
-    n_proj = 3 if cfg.use_cosine_gate else 2
-    f += n_proj * 2 * h * p * d * dh
-    if cfg.use_cosine_gate:
-        f += 2 * h * p * dh  # cos + gating multiply
-    f += 2 * h * dh * dh * p + h * dh * dh + 4 * h * dh * dh
-    f += 2 * h * p * dh * dh
-    # integration
-    f += h * p * dh  # broadcast gate multiply
-    f += 2 * p * d * d  # output projection
-    return f
-
-
-def count_flops(cfg: ModelConfig) -> int:
-    c, t, d = cfg.n_channels, cfg.n_samples, cfg.embed_dim
-    s, k = cfg.spatial_maps, cfg.kernel_len
-    p, ps = cfg.n_patches, cfg.spatial_patches
-    tc = cfg.spatial_conv_len
-    f = 0
-    # temporal tokenizer
-    f += 2 * d * c * t + d * t
-    f += 2 * d * t  # eval batchnorm
-    f += 2 * d * t * k + d * t
-    f += 4 * d * t
-    f += d * (cfg.pool_window * p + p)
-    # spatial tokenizer (shared across channels)
-    f += c * (2 * s * k * tc + s * tc)
-    f += 4 * c * s * tc
-    f += 2 * c * s * tc
-    f += c * s * (cfg.spatial_pool_window * ps + ps)
-    f += c * 2 * (s * ps) * d
-    if cfg.use_positional_embedding:
-        f += p * d + c * d
-    for layer in range(cfg.temporal_depth):
-        if layer < cfg.spatial_depth:
-            f += _ffn_flops(c, cfg)
-        f += _ffn_flops(p, cfg)
-        if cfg.use_tsia:
-            if cfg.integration_mode in ("st2t", "bidir"):
-                f += _tsia_flops(cfg, c, p)
-            if cfg.integration_mode in ("st2s", "bidir"):
-                f += _tsia_flops(cfg, p, c)
-        else:
-            f += c * d + 2 * p * 2 * d * d
-    if cfg.fusion_mode == "adaptive":
-        w = cfg.fusion_width
-        f += 2 * p * d * w + p * w + p * w  # hidden + bias + relu
-        f += 2 * p * w + p + 4 * p  # score + bias + softmax
-        f += 2 * p * d  # temporal weighted sum
-        f += 2 * c * d  # channel-weighted spatial pooling
-    else:
-        f += p * d + c * d
-    hc = cfg.classifier_hidden
-    f += 2 * 2 * d * hc + hc + hc + 2 * hc * cfg.n_classes + cfg.n_classes
-    return f
-
-
-def count_params_flops(cfg: ModelConfig) -> tuple[int, int]:
-    """(active parameter count, eval-mode single-trial forward FLOPs)."""
-    return count_params(cfg), count_flops(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +322,8 @@ def load_snapshot(path) -> dict[str, np.ndarray]:
         count = int(np.prod(shape)) if ndim else 1
         off2 = need(4 * count, off)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataFormatError("snapshot_non_finite", f"snapshot entry {name} holds non-finite values")
         out[name] = arr.copy()
         off = off2
     if off != len(blob):

@@ -407,6 +407,33 @@ def test_snapshot_geometry_mismatch_exits_2(work, capsys):
     assert capsys.readouterr().err.startswith("error[snapshot")
 
 
+def _tampered_snapshot(work, name, value):
+    """The trained model.bin with the first element of one stored array set to ``value``."""
+    from lidsn.config import ModelConfig
+    from lidsn.params import init_params, load_snapshot, save_snapshot
+
+    ps = init_params(ModelConfig(n_channels=3, n_samples=40, n_classes=2,
+                                 **RUN_CONFIG["model"]), seed=0)
+    ps.load_values(load_snapshot(work["out"] / "model.bin"))
+    ps.value_dict()[name].flat[0] = value
+    path = work["root"] / f"tampered-{name}.bin"
+    save_snapshot(path, ps)
+    return path
+
+
+@pytest.mark.parametrize("name,value,kind", [
+    ("classifier.out.bias", np.nan, "snapshot_non_finite"),
+    ("temporal_tokenizer.norm.running_var", -1.0, "snapshot_negative_variance"),
+])
+def test_snapshot_bad_value_exits_2(work, capsys, name, value, kind):
+    path = _tampered_snapshot(work, name, value)
+    assert main(["eval", "--data", str(work["data"]), "--model", str(path),
+                 "--config", str(work["cfg"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{kind}]:") and name in err
+    assert len(err.splitlines()) == 1
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as e:
         main(["bogus-command"])

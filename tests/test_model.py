@@ -497,6 +497,95 @@ def test_bidir_allocates_both_directions():
     assert "layer0.tsia_rev.query_a" not in st2t
 
 
+# exact (count_params, count_flops) on 8 ch x 512 samples unless the geometry says otherwise
+PINNED_COUNTS = [
+    ({}, 117_595, 4_081_076),
+    ({"n_channels": 22, "n_samples": 1000}, 124_009, 11_446_494),
+    ({"integration_mode": "st2s"}, 117_835, 4_053_356),
+    ({"integration_mode": "bidir"}, 147_595, 4_689_356),
+    ({"integration_mode": "none"}, 87_835, 3_445_076),
+    ({"fusion_mode": "mean-concat"}, 116_746, 4_063_506),
+    ({"use_cosine_gate": False}, 112_795, 3_982_676),
+    ({"use_electrode_pos_embedding": False}, 116_635, 4_079_156),
+    ({"use_positional_embedding": False}, 116_875, 4_080_356),
+    ({"use_tsia": False}, 97_435, 3_638_036),
+    ({"spatial_depth": 0}, 78_355, 3_437_876),
+    ({"head_shared_electrode_embedding": True}, 116_875, 4_081_076),
+    ({"integration_mode": "bidir", "head_shared_electrode_embedding": True}, 145_975, 4_689_356),
+]
+
+
+def _overrides_id(value):
+    if isinstance(value, dict):
+        return "-".join(f"{k}={v}" for k, v in value.items()) or "default"
+    return None
+
+
+@pytest.mark.parametrize("overrides,params,flops", PINNED_COUNTS, ids=_overrides_id)
+def test_pinned_param_and_flop_counts(overrides, params, flops):
+    cfg = ModelConfig(**{"n_channels": 8, "n_samples": 512, "n_classes": 2, **overrides})
+    assert count_params_flops(cfg) == (params, flops)
+
+
+_FFN_LEAVES = ("norm.gain", "norm.bias", "expand.weight", "expand.bias",
+               "contract.weight", "contract.bias")
+_TSIA_LEAVES = ("query_a", "query_b", "{embed}", "value", "gate", "key", "out.weight")
+
+
+def test_param_table_order_is_pinned():
+    # the table order is the order of the init draws
+    cfg = ModelConfig(n_channels=8, n_samples=512, n_classes=2, temporal_depth=2,
+                      spatial_depth=1, integration_mode="bidir")
+
+    def block(prefix, leaves, embed=""):
+        return [f"{prefix}.{leaf.format(embed=embed)}" for leaf in leaves]
+
+    want = [
+        "temporal_tokenizer.pointwise.weight", "temporal_tokenizer.pointwise.bias",
+        "temporal_tokenizer.norm.gain", "temporal_tokenizer.norm.bias",
+        "temporal_tokenizer.depthwise.weight", "temporal_tokenizer.depthwise.bias",
+        "spatial_tokenizer.conv.weight", "spatial_tokenizer.conv.bias",
+        "spatial_tokenizer.norm.gain", "spatial_tokenizer.norm.bias",
+        "spatial_tokenizer.proj.weight",
+        "position.temporal", "position.spatial",
+        *block("layer0.spatial_ffn", _FFN_LEAVES),
+        *block("layer0.temporal_ffn", _FFN_LEAVES),
+        *block("layer0.tsia", _TSIA_LEAVES, "electrode_embedding"),
+        *block("layer0.tsia_rev", _TSIA_LEAVES, "token_embedding"),
+        *block("layer1.temporal_ffn", _FFN_LEAVES),
+        *block("layer1.tsia", _TSIA_LEAVES, "electrode_embedding"),
+        *block("layer1.tsia_rev", _TSIA_LEAVES, "token_embedding"),
+        "fusion.channel_weights", "fusion.score.hidden.weight", "fusion.score.hidden.bias",
+        "fusion.score.out.weight", "fusion.score.out.bias",
+        "classifier.hidden.weight", "classifier.hidden.bias",
+        "classifier.out.weight", "classifier.out.bias",
+    ]
+    assert [s.name for s in param_specs(cfg)] == want
+
+
+@pytest.mark.parametrize("overrides", [
+    *({"integration_mode": m, "fusion_mode": f}
+      for m in ("st2t", "st2s", "bidir", "none") for f in ("adaptive", "mean-concat")),
+    {"use_cosine_gate": False},
+    {"use_electrode_pos_embedding": False},
+    {"use_positional_embedding": False},
+    {"use_tsia": False},
+    {"spatial_depth": 0},
+], ids=_overrides_id)
+def test_gradients_reach_exactly_the_active_parameters(tiny_cfg, overrides):
+    from lidsn.training import weighted_cross_entropy
+
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), **overrides})
+    model = Model.build(cfg, seed=3)
+    x = RngStream(23, 212).normal(0, 1, (4, cfg.n_channels, cfg.n_samples))
+    with tz.Tape() as tape:
+        logits = model.forward(x, rng=RngStream(23, 213), training=True)
+        loss = weighted_cross_entropy(logits, np.array([0, 1, 0, 1]), np.ones(cfg.n_classes))
+        grads = tz.backward(loss, tape)
+    reached = {name for name, t in model.params.tensors.items() if t in grads}
+    assert reached == {s.name for s in param_specs(cfg) if s.active}
+
+
 def test_init_is_deterministic(tiny_cfg):
     a = init_params(tiny_cfg, seed=5)
     b = init_params(tiny_cfg, seed=5)
