@@ -7,6 +7,8 @@ rng handed to forward.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import ModelConfig
@@ -16,7 +18,7 @@ from .rng import RngStream
 from . import tensor as tz
 from .tensor import Tape, Tensor, backward
 
-EVAL_CHUNK = 32  # trials per eval forward: one chunk's activations bound eval memory
+EVAL_CHUNK = 256  # trials per eval forward: bounds the layers' token grids (see eval_block)
 
 
 def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bool) -> Tensor:
@@ -99,7 +101,7 @@ def pooled_context(source: Tensor, params: ParamSet, prefix: str, embed: str, cf
         pos = params[f"{prefix}.{embed}"]
         y1 = tz.add(y1, pos)
         y2 = tz.add(y2, pos)
-    scores = tz.scale(tz.matmul(y1, tz.swapaxes(y2, -1, -2)), 1.0 / np.sqrt(cfg.head_dim))
+    scores = tz.scale(tz.matmul(y1, tz.swapaxes(y2, -1, -2)), 1.0 / math.sqrt(cfg.head_dim))
     affinity = tz.softmax(scores, axis=-1)
     importance = tz.softmax(tz.l2norm(y1, axis=-1), axis=-1)
     context = tz.matmul(affinity, y1)
@@ -120,7 +122,7 @@ def gated_refine(target: Tensor, params: ParamSet, prefix: str, cfg: ModelConfig
         x1 = tz.mul(x1, tz.cosine(phase))
     keys = _heads(target, params[f"{prefix}.key"])
     m = target.shape[1]
-    scores = tz.scale(tz.matmul(tz.swapaxes(x1, -1, -2), keys), 1.0 / np.sqrt(m))
+    scores = tz.scale(tz.matmul(tz.swapaxes(x1, -1, -2), keys), 1.0 / math.sqrt(m))
     attention = tz.softmax(scores, axis=-1)
     refined = tz.matmul(x1, attention)
     return refined, attention
@@ -211,6 +213,17 @@ def classify(u: Tensor, params: ParamSet) -> Tensor:
     return tz.matmul(h, params["classifier.out.weight"]) + params["classifier.out.bias"]
 
 
+def eval_block(cfg: ModelConfig) -> int:
+    """Trials per tokenizer block of an untaped eval forward.
+
+    The widest activation of one block, the depthwise conv's [n, D, T] or the
+    spatial conv's [n * C, maps, conv_len], fills about tensor.BLOCK_BYTES.
+    """
+    width = max(cfg.embed_dim * cfg.n_samples,
+                cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
+    return tz.block_rows(width, np.dtype(cfg.np_dtype).itemsize)
+
+
 def forward(
     x: Tensor,
     params: ParamSet,
@@ -222,14 +235,25 @@ def forward(
     """Batched forward pass: [B, C, T] -> logits [B, n_classes].
 
     A capture dict receives detached copies of the attention maps and patch
-    weights, keyed by block, e.g. ``layer1.tsia_rev/attention``.
+    weights, keyed by block, e.g. ``layer1.tsia_rev/attention``. A pass that
+    records nothing runs the tokenizers over blocks of eval_block(cfg) trials,
+    which stay in cache; the layers run on the whole batch.
     """
     if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.n_samples:
         raise ShapeError(
             f"forward expects [B, {cfg.n_channels}, {cfg.n_samples}], got {x.shape}"
         )
-    z_t = temporal_tokenize(x, params, cfg, training)
-    z_s = spatial_tokenize(x, params, cfg, training)
+    b = x.shape[0]
+    step = b if training or tz.active_tape() is not None else eval_block(cfg)
+    if step >= b:
+        z_t = temporal_tokenize(x, params, cfg, training)
+        z_s = spatial_tokenize(x, params, cfg, training)
+    else:
+        # eval batchnorm uses running statistics, so every trial tokenizes
+        # alone and a block's tokens equal the whole batch's bit for bit
+        blocks = [Tensor(x.data[lo : lo + step]) for lo in range(0, b, step)]
+        z_t = tz.concat([temporal_tokenize(xb, params, cfg, False) for xb in blocks])
+        z_s = tz.concat([spatial_tokenize(xb, params, cfg, False) for xb in blocks])
     if cfg.use_positional_embedding:
         z_t = tz.add(z_t, params["position.temporal"])
         z_s = tz.add(z_s, params["position.spatial"])

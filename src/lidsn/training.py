@@ -257,7 +257,6 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
         epochs_run = epoch
         order = shuffle.permutation(n)
         loss_sum = 0.0
-        correct = 0
         seen = 0
         for batch in _batches(order, train_cfg.batch_size):
             with Tape() as tape:
@@ -266,11 +265,8 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 grads = backward(loss, tape)
             opt.step(grads)
             loss_sum += float(loss.data) * batch.size
-            correct += int((logits.data.argmax(axis=1) == y_train[batch]).sum())
             seen += batch.size
-        train_loss = loss_sum / seen
-        train_acc = correct / seen
-        row = {"epoch": epoch, "train_loss": train_loss, "train_acc": train_acc}
+        row = {"epoch": epoch, "train_loss": loss_sum / seen}
         if has_val:
             val = evaluate_model(model, x_val, y_val, weights)
             row["val_loss"] = val["loss"]
@@ -349,17 +345,14 @@ def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
              model_cfg: ModelConfig, train_cfg: TrainConfig, fold: int,
              align: bool = False) -> FoldOutcome:
     t0 = time.perf_counter()
-    data = epochs_set
-    if align:
-        data = euclidean_align(epochs_set, fit_indices=train_idx)
-    fit_idx, val_idx = validation_tail(train_idx, data.subjects, train_cfg.val_fraction)
+    fit_idx, val_idx = validation_tail(train_idx, epochs_set.subjects, train_cfg.val_fraction)
+    data = euclidean_align(epochs_set, fit_indices=train_idx) if align else epochs_set
     x = data.data.astype(model_cfg.np_dtype, copy=False)
-    outcome = train_model(
-        model_cfg, train_cfg,
-        x[fit_idx], data.labels[fit_idx],
-        x[val_idx], data.labels[val_idx],
-    )
-    metrics = evaluate_model(outcome.model, x[test_idx], data.labels[test_idx])
+    x_fit, x_val, x_test = x[fit_idx], x[val_idx], x[test_idx]
+    labels = data.labels
+    del data, x  # the aligned or converted whole set is not kept alive while training
+    outcome = train_model(model_cfg, train_cfg, x_fit, labels[fit_idx], x_val, labels[val_idx])
+    metrics = evaluate_model(outcome.model, x_test, labels[test_idx])
     return FoldOutcome(fold, outcome, metrics, fit_idx.size, val_idx.size, test_idx.size,
                        train_cfg.seed, time.perf_counter() - t0)
 

@@ -668,3 +668,68 @@ def test_forward_finite_for_random_small_configs(mode, heads, seed):
     out = model.forward(x).data
     assert out.shape == (2, 2)
     assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# eval blocking: an untaped eval forward tokenizes a few trials at a time
+
+
+@pytest.mark.parametrize("geometry", [(8, 512, 2), (22, 1000, 4)], ids=["8x512", "22x1000"])
+def test_tokenizer_blocks_equal_one_whole_batch_call(geometry):
+    cfg = ModelConfig(*geometry)
+    model = Model.build(cfg, seed=4)
+    r = RngStream(41, 214)
+    for name in ("temporal_tokenizer.norm", "spatial_tokenizer.norm"):
+        state = model.params.states[name]
+        state.mean = r.normal(0.0, 0.5, state.mean.shape)
+        state.var = r.uniform(0.5, 2.0, state.var.shape)
+    x = r.normal(0.0, 1.0, (10, cfg.n_channels, cfg.n_samples))
+    for tokenize in (temporal_tokenize, spatial_tokenize):
+        whole = tokenize(Tensor(x), model.params, cfg, False).data
+        for block in (1, 2, 3, 5, 7):
+            parts = [tokenize(Tensor(x[lo : lo + block]), model.params, cfg, False).data
+                     for lo in range(0, len(x), block)]
+            assert np.array_equal(np.concatenate(parts), whole), (tokenize.__name__, block)
+
+
+_EVAL_VARIANTS = [
+    *({"integration_mode": m, "fusion_mode": f}
+      for m in ("st2t", "st2s", "bidir", "none") for f in ("adaptive", "mean-concat")),
+    {"use_cosine_gate": False},
+    {"use_electrode_pos_embedding": False},
+    {"use_positional_embedding": False},
+    {"use_tsia": False},
+    {"head_shared_electrode_embedding": True},
+]
+
+
+@pytest.mark.parametrize("overrides", _EVAL_VARIANTS, ids=_overrides_id)
+def test_blocked_logits_equal_the_taped_forward(tiny_cfg, overrides, monkeypatch):
+    from lidsn import network
+
+    cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), **overrides})
+    model = Model.build(cfg, seed=6)
+    # a budget of three trials, so small batches cross block edges
+    width = max(cfg.embed_dim * cfg.n_samples,
+                cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
+    monkeypatch.setattr(tz, "BLOCK_BYTES", 3 * width * 8)
+    assert network.eval_block(cfg) == 3
+    calls = []
+    traced = network.temporal_tokenize
+    monkeypatch.setattr(network, "temporal_tokenize",
+                        lambda x, *a: calls.append(x.shape[0]) or traced(x, *a))
+    x_all = RngStream(43, 215).normal(0.0, 1.0, (network.EVAL_CHUNK + 1, cfg.n_channels,
+                                                 cfg.n_samples))
+    for b in (1, 2, 3, 4, network.EVAL_CHUNK + 1):
+        x = x_all[:b]
+        calls.clear()
+        blocked = model.logits_np(x)
+        assert max(calls) <= 3 and sum(calls) == b
+        # the layers' batch width can move the last bits (a one-trial chunk
+        # does), so the taped reference runs the same EVAL_CHUNK chunks
+        chunks = [x[lo : lo + network.EVAL_CHUNK] for lo in range(0, b, network.EVAL_CHUNK)]
+        calls.clear()
+        with tz.Tape():
+            taped = np.concatenate([model.forward(chunk).data for chunk in chunks])
+        assert calls == [len(chunk) for chunk in chunks]
+        assert np.array_equal(blocked, taped), b

@@ -706,7 +706,7 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
 @example(n=3, c=2, t=40, half_k=0, f32=False, seed=3)  # K = 1
 @example(n=1, c=3, t=70, half_k=20, f32=False, seed=4)  # B = 1, K - 1 > 32
 @example(n=2, c=3, t=64, half_k=12, f32=True, seed=6)
-@example(n=70, c=2, t=40, half_k=12, f32=False, seed=7)  # N > 32: three batch chunks
+@example(n=3, c=30, t=1000, half_k=12, f32=False, seed=7)  # chunks of 2 + 1 trials
 def test_banded_depthwise_matches_tap_loops(n, c, t, half_k, f32, seed):
     k = 2 * half_k + 1
     dtype = np.float32 if f32 else np.float64
@@ -722,6 +722,16 @@ def test_banded_depthwise_matches_tap_loops(n, c, t, half_k, f32, seed):
     for got, want in ((out.data, naive_depthwise(x64, w64)), (grads[xt], dx), (grads[wt], dw)):
         assert got.dtype == dtype and got.shape == want.shape
         assert np.allclose(got, want, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("t", [512, 1000])
+def test_depthwise_one_trial_chunks_equal_one_whole_batch_chunk(t):
+    # three channels keep seven trials inside one chunk; one trial per call is a chunk of one
+    r = RngStream(7, 66)
+    x, w = r.normal(0.0, 1.0, (7, 3, t)), r.normal(0.0, 1.0, (3, 25))
+    whole = tz._depthwise_apply(x, w)
+    singles = np.concatenate([tz._depthwise_apply(x[i : i + 1], w) for i in range(len(x))])
+    assert np.array_equal(singles, whole)
 
 
 # ---------------------------------------------------------------------------

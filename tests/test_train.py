@@ -1,4 +1,6 @@
 """Loss, optimizer, metrics, and the training loop."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from lidsn.gradcheck import grad_check
 from lidsn.network import Model
 from lidsn.params import ParamSet
 from lidsn.rng import RngStream
-from lidsn.tensor import Tensor
+from lidsn.tensor import Tape, Tensor, backward
 from lidsn.training import (
     Adam,
     TrainConfig,
@@ -270,6 +272,28 @@ def test_train_restores_best_snapshot(tiny_cfg):
     revalidated = evaluate_model(out.model, x[18:], e.labels[18:], w)["loss"]
     # restored parameters are float32-rounded, so allow rounding-level drift
     assert revalidated == pytest.approx(out.best_val_loss, rel=1e-4)
+
+
+@pytest.mark.parametrize("fusion", ["adaptive", "mean-concat"])
+@pytest.mark.parametrize("mode", ["st2t", "st2s", "bidir", "none"])
+def test_float32_model_steps_in_float32(tiny_cfg, mode, fusion):
+    cfg = replace(tiny_cfg, integration_mode=mode, fusion_mode=fusion, dtype="float32")
+    model = Model.build(cfg, seed=2)
+    opt = Adam(model.params, TrainConfig())
+    x = RngStream(5, 216).normal(0.0, 1.0, (4, cfg.n_channels, cfg.n_samples))
+    with Tape() as tape:
+        logits = model.forward(x, rng=RngStream(5, 217), training=True)
+        loss = weighted_cross_entropy(logits, np.array([0, 1, 1, 0]), np.ones(cfg.n_classes))
+        grads = backward(loss, tape)
+    opt.step(grads)
+    assert logits.dtype == np.float32 and loss.dtype == np.float32
+    arrays = {
+        **{f"grad {n}": grads[t] for n, t in model.params.tensors.items() if t in grads},
+        **{f"m {n}": a for n, a in opt._m.items()},
+        **{f"v {n}": a for n, a in opt._v.items()},
+        **{f"param {n}": t.data for n, t in model.params.tensors.items()},
+    }
+    assert [name for name, a in arrays.items() if a.dtype != np.float32] == []
 
 
 def test_train_rejects_empty_training_set(tiny_cfg):
