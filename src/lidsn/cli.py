@@ -209,8 +209,7 @@ def _restore_model(args) -> tuple:
 
 def cmd_eval(args) -> int:
     epochs, model = _restore_model(args)
-    x = epochs.data.astype(model.cfg.np_dtype, copy=False)
-    metrics = evaluate_model(model, x, epochs.labels)
+    metrics = evaluate_model(model, epochs.data, epochs.labels)
     print(f"acc={format_cell(metrics['accuracy'])} "
           f"macro_f1={format_cell(metrics['macro_f1'])}")
     conf = np.asarray(metrics["confusion"])
@@ -230,9 +229,8 @@ def cmd_export_viz(args) -> int:
     epochs, model = _restore_model(args)
     if not 0 <= args.trial < epochs.n_trials:
         raise ConfigError(f"trial {args.trial} out of range [0, {epochs.n_trials})")
-    x = epochs.data[args.trial : args.trial + 1].astype(model.cfg.np_dtype)
     capture = {}
-    model.forward(x, capture=capture)
+    model.forward(epochs.data[args.trial : args.trial + 1], capture=capture)
     os.makedirs(args.out, exist_ok=True)
     written = []
 
@@ -254,7 +252,7 @@ def cmd_export_viz(args) -> int:
         else:
             for head in range(arr.shape[1]):
                 emit(f"{stem}_head{head}", arr[0, head])
-    emit("saliency", saliency(epochs.data[args.trial].astype(model.cfg.np_dtype), model))
+    emit("saliency", saliency(epochs.data[args.trial], model))
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

@@ -19,6 +19,9 @@ from . import tensor as tz
 from .tensor import Tape, Tensor, backward
 
 EVAL_CHUNK = 256  # trials per eval forward: bounds the layers' token grids (see eval_block)
+# Bytes of one tokenizer block's widest array: with its inputs and outputs it
+# stays inside a 2 MiB L2, where a whole [32, 40, 512] float64 batch (5.2 MB) does not
+BLOCK_BYTES = 640 * 1024
 
 
 def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bool) -> Tensor:
@@ -137,7 +140,7 @@ def integrate(refined: Tensor, s_pool: Tensor, params: ParamSet, prefix: str) ->
 
 
 def tsia_apply(source: Tensor, target: Tensor, params: ParamSet, prefix: str, embed: str,
-               cfg: ModelConfig, capture: dict | None = None):
+               cfg: ModelConfig, capture: dict | None = None) -> Tensor:
     """Full interactive attention: pool the source, refine the target, gate, project.
 
     With a capture dict, stores detached copies of the maps under
@@ -145,12 +148,11 @@ def tsia_apply(source: Tensor, target: Tensor, params: ParamSet, prefix: str, em
     """
     s_pool, affinity, importance = pooled_context(source, params, prefix, embed, cfg)
     refined, attention = gated_refine(target, params, prefix, cfg)
-    out = integrate(refined, s_pool, params, prefix)
     if capture is not None:
         capture[f"{prefix}/affinity"] = affinity.data.copy()
         capture[f"{prefix}/importance"] = importance.data.copy()
         capture[f"{prefix}/attention"] = attention.data.copy()
-    return out, affinity, importance, attention
+    return integrate(refined, s_pool, params, prefix)
 
 
 def run_layers(
@@ -180,10 +182,10 @@ def run_layers(
         z_t = h_t
         if mode in ("st2t", "bidir"):
             z_t = tsia_apply(z_s, h_t, params, f"layer{layer}.tsia",
-                             "electrode_embedding", cfg, capture)[0]
+                             "electrode_embedding", cfg, capture)
         if mode in ("st2s", "bidir"):
             z_s = tsia_apply(h_t, z_s, params, f"layer{layer}.tsia_rev",
-                             "token_embedding", cfg, capture)[0]
+                             "token_embedding", cfg, capture)
     return z_t, z_s
 
 
@@ -217,11 +219,12 @@ def eval_block(cfg: ModelConfig) -> int:
     """Trials per tokenizer block of an untaped eval forward.
 
     The widest activation of one block, the depthwise conv's [n, D, T] or the
-    spatial conv's [n * C, maps, conv_len], fills about tensor.BLOCK_BYTES.
+    spatial conv's [n * C, maps, conv_len], fills about BLOCK_BYTES; a block
+    holds at least one trial.
     """
     width = max(cfg.embed_dim * cfg.n_samples,
                 cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
-    return tz.block_rows(width, np.dtype(cfg.np_dtype).itemsize)
+    return max(1, BLOCK_BYTES // (width * np.dtype(cfg.np_dtype).itemsize))
 
 
 def forward(
@@ -245,15 +248,11 @@ def forward(
         )
     b = x.shape[0]
     step = b if training or tz.active_tape() is not None else eval_block(cfg)
-    if step >= b:
-        z_t = temporal_tokenize(x, params, cfg, training)
-        z_s = spatial_tokenize(x, params, cfg, training)
-    else:
-        # eval batchnorm uses running statistics, so every trial tokenizes
-        # alone and a block's tokens equal the whole batch's bit for bit
-        blocks = [Tensor(x.data[lo : lo + step]) for lo in range(0, b, step)]
-        z_t = tz.concat([temporal_tokenize(xb, params, cfg, False) for xb in blocks])
-        z_s = tz.concat([spatial_tokenize(xb, params, cfg, False) for xb in blocks])
+    # eval batchnorm uses running statistics, so every trial tokenizes alone
+    # and a block's tokens equal the whole batch's bit for bit
+    blocks = [x] if step >= b else [Tensor(x.data[lo : lo + step]) for lo in range(0, b, step)]
+    z_t = tz.concat([temporal_tokenize(xb, params, cfg, training) for xb in blocks])
+    z_s = tz.concat([spatial_tokenize(xb, params, cfg, training) for xb in blocks])
     if cfg.use_positional_embedding:
         z_t = tz.add(z_t, params["position.temporal"])
         z_s = tz.add(z_s, params["position.spatial"])

@@ -200,16 +200,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    sa, sb = a.shape, b.shape
-
-    def back(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return _record("sub", out, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     out = ad * bd
@@ -363,6 +353,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = tuple(tensors)
     if not ts:
         raise ShapeError("concat needs at least one tensor")
+    if len(ts) == 1:  # tensors are immutable, so the one input is the result
+        return ts[0]
     try:
         out = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as exc:
@@ -614,14 +606,6 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 _BLOCK = 32  # L, the output samples per block of the banded depthwise matmul
-# Bytes of one cache block's widest array: with its inputs and outputs it stays
-# inside a 2 MiB L2, where a whole [32, 40, 512] float64 batch (5.2 MB) does not
-BLOCK_BYTES = 640 * 1024
-
-
-def block_rows(row_values: int, itemsize: int) -> int:
-    """Leading-axis rows of row_values items each that fit BLOCK_BYTES, at least one."""
-    return max(1, BLOCK_BYTES // (row_values * itemsize))
 
 
 def _depthwise_blocks(xd: np.ndarray, k: int) -> np.ndarray:
@@ -649,13 +633,8 @@ def _depthwise_apply(xd: np.ndarray, w: np.ndarray) -> np.ndarray:
     z = np.zeros((c, k + 2 * (_BLOCK - 1)), dtype=w.dtype)
     z[:, _BLOCK - 1 : _BLOCK - 1 + k] = w[:, ::-1]
     band = sliding_window_view(z, _BLOCK, axis=1)[:, ::-1]
-    nb = -(-t // _BLOCK)
-    out = np.empty((n, c, t), dtype=np.result_type(xd, w))
-    step = block_rows(c * t, out.itemsize)
-    for i in range(0, n, step):
-        part = np.matmul(_depthwise_blocks(xd[i : i + step], k), band)
-        out[i : i + step] = part.reshape(c, -1, nb * _BLOCK)[:, :, :t].transpose(1, 0, 2)
-    return out
+    out = np.matmul(_depthwise_blocks(xd, k), band).reshape(c, n, -1)[:, :, :t]
+    return np.ascontiguousarray(out.transpose(1, 0, 2))
 
 
 def _depthwise_weight_grad(xd: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:

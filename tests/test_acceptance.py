@@ -120,7 +120,7 @@ def test_criterion_1_gradient_suite():
         "tcam": (lambda ts: tz.reduce_sum(
             gated_refine(ts[0], ps, "layer0.tsia", cfg)[0]), [z_t]),
         "tsia": (lambda ts: tz.reduce_sum(tsia_apply(
-            ts[0], ts[1], ps, "layer0.tsia", "electrode_embedding", cfg)[0]), [z_s, z_t]),
+            ts[0], ts[1], ps, "layer0.tsia", "electrode_embedding", cfg)), [z_s, z_t]),
         "fuse": (lambda ts: tz.reduce_sum(fuse(ts[0], ts[1], ps, cfg)), [z_t, z_s]),
     }
     for name, (fn, inputs) in blocks.items():
@@ -186,8 +186,7 @@ def test_criterion_3_architecture_invariants(tiny_cfg):
     r = RngStream(1, 96)
     z_s = Tensor(r.normal(0, 1, (2, tiny_cfg.n_channels, tiny_cfg.embed_dim)))
     z_t = Tensor(r.normal(0, 1, (2, tiny_cfg.n_patches, tiny_cfg.embed_dim)))
-    out, _, _, _ = tsia_apply(z_s, z_t, model.params, "layer0.tsia",
-                              "electrode_embedding", tiny_cfg)
+    out = tsia_apply(z_s, z_t, model.params, "layer0.tsia", "electrode_embedding", tiny_cfg)
     assert np.all(out.data == 0.0)
 
     # st2t: the spatial stream never sees the temporal stream

@@ -65,6 +65,26 @@ def test_cli_imports_no_engine_internals():
     assert imported == []
 
 
+def test_every_public_tensor_function_has_a_caller_in_the_package():
+    # the grad-check battery exercises every primitive, so it does not count
+    # as a caller: a primitive only it reaches is dead engine code
+    package = Path(lidsn.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("tensor.py", "gradcheck.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                called |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "tz"):
+                called.add(node.attr)
+    assert sorted(public - called) == []
+
+
 # (config type, required fields, one out-of-range field)
 CONFIG_TYPES = [
     (ModelConfig, {"n_channels": 8, "n_samples": 512, "n_classes": 2}, {"dropout": 1.0}),

@@ -274,8 +274,8 @@ def test_tsia_matches_oracle(tiny_cfg):
     r = RngStream(10, 204)
     z_s = r.normal(0, 1, (1, tiny_cfg.n_channels, tiny_cfg.embed_dim))
     z_t = r.normal(0, 1, (1, tiny_cfg.n_patches, tiny_cfg.embed_dim))
-    out, _, _, _ = tsia_apply(Tensor(z_s), Tensor(z_t), model.params, "layer0.tsia",
-                              "electrode_embedding", tiny_cfg)
+    out = tsia_apply(Tensor(z_s), Tensor(z_t), model.params, "layer0.tsia",
+                     "electrode_embedding", tiny_cfg)
     want = oracle_tsia(z_s[0], z_t[0], vals, "layer0.tsia", "electrode_embedding", tiny_cfg)
     assert np.max(np.abs(out.data[0] - want)) < 1e-12
 
@@ -334,8 +334,7 @@ def test_zero_query_and_embedding_zero_the_stream(tiny_cfg):
     r = RngStream(12, 205)
     z_s = Tensor(r.normal(0, 1, (2, tiny_cfg.n_channels, tiny_cfg.embed_dim)))
     z_t = Tensor(r.normal(0, 1, (2, tiny_cfg.n_patches, tiny_cfg.embed_dim)))
-    out, _, _, _ = tsia_apply(z_s, z_t, model.params, "layer0.tsia",
-                              "electrode_embedding", tiny_cfg)
+    out = tsia_apply(z_s, z_t, model.params, "layer0.tsia", "electrode_embedding", tiny_cfg)
     assert np.all(out.data == 0.0)
 
 
@@ -712,7 +711,7 @@ def test_blocked_logits_equal_the_taped_forward(tiny_cfg, overrides, monkeypatch
     # a budget of three trials, so small batches cross block edges
     width = max(cfg.embed_dim * cfg.n_samples,
                 cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
-    monkeypatch.setattr(tz, "BLOCK_BYTES", 3 * width * 8)
+    monkeypatch.setattr(network, "BLOCK_BYTES", 3 * width * 8)
     assert network.eval_block(cfg) == 3
     calls = []
     traced = network.temporal_tokenize
