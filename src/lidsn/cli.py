@@ -76,10 +76,6 @@ class RunConfig:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
-        if self.train.seed != 0:
-            raise ConfigError(
-                f"train.seed must be 0, got {self.train.seed}: job seeds come from 'seeds'"
-            )
 
     def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
         """The model section, filled in for this data geometry and validated."""
@@ -119,7 +115,7 @@ def _prepare(data_path, config_path):
     epochs = load_epochs(data_path)
     run = from_dict(RunConfig, raw)
     if run.features:
-        epochs = rpsd_features(epochs, **asdict(run.feature_args))
+        epochs = rpsd_features(epochs, run.feature_args)
     return epochs, run, run.model_config(epochs.n_channels, epochs.n_samples, epochs.n_classes)
 
 
@@ -284,13 +280,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_features(args) -> int:
-    epochs = rpsd_features(
-        load_epochs(args.data),
-        outer_window_s=args.outer_window,
-        outer_overlap=args.outer_overlap,
-        inner_window_s=args.inner_window,
-        inner_overlap=args.inner_overlap,
-    )
+    epochs = rpsd_features(load_epochs(args.data), FeatureArgs(
+        args.outer_window, args.outer_overlap, args.inner_window, args.inner_overlap))
     save_epochs(args.out, epochs)
     print(f"wrote {args.out} rows={epochs.n_trials} channels={epochs.n_channels} "
           f"width={epochs.n_samples}")

@@ -45,10 +45,6 @@ class ModelConfig:
     use_tsia: bool = True
     head_shared_electrode_embedding: bool = False
     classifier_hidden: int = 32
-    fusion_hidden: int = 0  # 0 means embed_dim // 2
-    ln_eps: float = 1e-5
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     dtype: str = "float64"
 
     @property
@@ -72,7 +68,7 @@ class ModelConfig:
 
     @property
     def fusion_width(self) -> int:
-        return self.fusion_hidden if self.fusion_hidden > 0 else self.embed_dim // 2
+        return self.embed_dim // 2
 
     @property
     def np_dtype(self):
@@ -121,10 +117,8 @@ class ModelConfig:
             )
         if not self.use_tsia and self.integration_mode != "st2t":
             raise ConfigError("use_tsia=false is only defined for integration_mode 'st2t'")
-        if self.fusion_hidden < 0:
-            raise ConfigError(f"fusion_hidden must be >= 0, got {self.fusion_hidden}")
         if self.fusion_width < 1:
-            raise ConfigError("fusion width embed_dim // 2 is 0; set fusion_hidden >= 1")
+            raise ConfigError("fusion width embed_dim // 2 is 0; set embed_dim >= 2")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
 

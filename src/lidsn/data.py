@@ -309,14 +309,8 @@ class FeatureArgs:
                 raise ConfigError(f"{name} window must be positive, got {seconds} s")
 
 
-def rpsd_features(
-    epochs: EpochSet,
-    outer_window_s: float = FeatureArgs.outer_window_s,
-    outer_overlap: float = FeatureArgs.outer_overlap,
-    inner_window_s: float = FeatureArgs.inner_window_s,
-    inner_overlap: float = FeatureArgs.inner_overlap,
-    bands=DEFAULT_BANDS,
-) -> EpochSet:
+def rpsd_features(epochs: EpochSet, args: FeatureArgs = FeatureArgs(),
+                  bands=DEFAULT_BANDS) -> EpochSet:
     """Relative band power features on sliding windows.
 
     Each trial splits into outer segments (one output row each); each segment
@@ -330,13 +324,12 @@ def rpsd_features(
         raise ConfigError("band set must not be empty")
     if epochs.n_trials == 0:
         raise ConfigError("cannot compute features of an empty epoch set")
-    FeatureArgs(outer_window_s, outer_overlap, inner_window_s, inner_overlap)  # range checks
     fs = epochs.fs
-    for name, seconds in (("outer", outer_window_s), ("inner", inner_window_s)):
+    for name, seconds in (("outer", args.outer_window_s), ("inner", args.inner_window_s)):
         if not np.isfinite(seconds * fs):
             raise ConfigError(f"{name} window of {seconds} s is not a finite number of samples")
-    w_out = int(round(outer_window_s * fs))
-    w_in = int(round(inner_window_s * fs))
+    w_out = int(round(args.outer_window_s * fs))
+    w_in = int(round(args.inner_window_s * fs))
     if w_out > epochs.n_samples:
         raise ConfigError(
             f"outer window of {w_out} samples exceeds trial length {epochs.n_samples}"
@@ -346,8 +339,8 @@ def rpsd_features(
     if w_in < 3:
         # np.hanning(2) is [0, 0]: every periodogram of a 2-sample window is empty
         raise ConfigError(f"inner window of {w_in} samples is shorter than 3 samples")
-    hop_out = max(1, int(round(w_out * (1.0 - outer_overlap))))
-    hop_in = max(1, int(round(w_in * (1.0 - inner_overlap))))
+    hop_out = max(1, int(round(w_out * (1.0 - args.outer_overlap))))
+    hop_in = max(1, int(round(w_in * (1.0 - args.inner_overlap))))
     outer_starts = _segment_starts(epochs.n_samples, w_out, hop_out)
     inner_starts = _segment_starts(w_out, w_in, hop_in)
     n_seg, n_sub, n_ch = outer_starts.size, inner_starts.size, epochs.n_channels

@@ -35,8 +35,6 @@ def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: b
         params["temporal_tokenizer.norm.bias"],
         params.states["temporal_tokenizer.norm"],
         training,
-        cfg.bn_momentum,
-        cfg.bn_eps,
     )
     y = tz.conv1d_depthwise(
         y, params["temporal_tokenizer.depthwise.weight"], params["temporal_tokenizer.depthwise.bias"]
@@ -67,8 +65,6 @@ def spatial_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bo
         params["spatial_tokenizer.norm.bias"],
         params.states["spatial_tokenizer.norm"],
         training,
-        cfg.bn_momentum,
-        cfg.bn_eps,
     )
     y = tz.avgpool1d(y, cfg.spatial_pool_window, cfg.spatial_pool_stride)
     y = tz.reshape(y, (b, c, cfg.spatial_maps * cfg.spatial_patches))
@@ -79,7 +75,7 @@ def ffn_block(
     z: Tensor, params: ParamSet, prefix: str, cfg: ModelConfig, rng: RngStream | None, training: bool
 ) -> Tensor:
     """z + Dropout(W_b GELU(W_a LayerNorm(z)))."""
-    h = tz.layernorm(z, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.bias"], cfg.ln_eps)
+    h = tz.layernorm(z, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.bias"])
     h = tz.matmul(h, params[f"{prefix}.expand.weight"]) + params[f"{prefix}.expand.bias"]
     h = tz.gelu(h)
     h = tz.matmul(h, params[f"{prefix}.contract.weight"]) + params[f"{prefix}.contract.bias"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class TrainConfig:
     beta2: float = 0.95
     eps: float = 1e-8
     weight_decay: float = 0.0
-    seed: int = 0
     class_weight_mode: str = "inverse"
     val_fraction: float = 0.1
 
@@ -44,10 +43,8 @@ class TrainConfig:
             )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 1 <= self.patience <= self.epochs:
-            raise ConfigError(
-                f"patience must lie in [1, epochs]; got {self.patience} vs {self.epochs}"
-            )
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= b < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {b}")
@@ -55,8 +52,6 @@ class TrainConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.class_weight_mode not in ("inverse", "uniform"):
             raise ConfigError(
                 f"class_weight_mode must be 'inverse' or 'uniform', got {self.class_weight_mode!r}"
@@ -230,18 +225,20 @@ def _batches(order: np.ndarray, batch_size: int):
 
 def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 x_train: np.ndarray, y_train: np.ndarray,
-                x_val: np.ndarray, y_val: np.ndarray) -> TrainOutcome:
+                x_val: np.ndarray, y_val: np.ndarray, seed: int = 0) -> TrainOutcome:
     """Fit a model with Adam, early stopping on validation loss.
+
+    ``seed`` draws the initial parameters, the shuffles and the dropout masks.
 
     The snapshot with the lowest validation loss (parameters and batch-norm
     running statistics) is restored at the end, rounded through float32 so a
     reloaded on-disk snapshot reproduces final_train_acc exactly. With an
     empty validation set early stopping is disabled and the final epoch wins.
     """
-    model = Model.build(model_cfg, seed=train_cfg.seed)
+    model = Model.build(model_cfg, seed=seed)
     weights = class_weights(y_train, model_cfg.n_classes, train_cfg.class_weight_mode)
-    shuffle = RngStream(train_cfg.seed, SHUFFLE_STREAM)
-    drop_rng = RngStream(train_cfg.seed, DROPOUT_STREAM)
+    shuffle = RngStream(seed, SHUFFLE_STREAM)
+    drop_rng = RngStream(seed, DROPOUT_STREAM)
     opt = Adam(model.params, train_cfg)
     has_val = len(y_val) > 0
     best_val = np.inf
@@ -342,7 +339,7 @@ def thread_budget() -> int:
 
 
 def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
-             model_cfg: ModelConfig, train_cfg: TrainConfig, fold: int,
+             model_cfg: ModelConfig, train_cfg: TrainConfig, fold: int, seed: int,
              align: bool = False) -> FoldOutcome:
     t0 = time.perf_counter()
     fit_idx, val_idx = validation_tail(train_idx, epochs_set.subjects, train_cfg.val_fraction)
@@ -351,32 +348,29 @@ def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
     x_fit, x_val, x_test = x[fit_idx], x[val_idx], x[test_idx]
     labels = data.labels
     del data, x  # the aligned or converted whole set is not kept alive while training
-    outcome = train_model(model_cfg, train_cfg, x_fit, labels[fit_idx], x_val, labels[val_idx])
+    outcome = train_model(model_cfg, train_cfg, x_fit, labels[fit_idx], x_val, labels[val_idx],
+                          seed)
     metrics = evaluate_model(outcome.model, x_test, labels[test_idx])
     return FoldOutcome(fold, outcome, metrics, fit_idx.size, val_idx.size, test_idx.size,
-                       train_cfg.seed, time.perf_counter() - t0)
+                       seed, time.perf_counter() - t0)
 
 
 def run_protocol(epochs_set: EpochSet, protocol: str, model_cfg: ModelConfig,
                  train_cfg: TrainConfig, align: bool = False, n_folds: int = 5,
-                 train_fraction: float = 0.8, seeds: list | None = None) -> dict:
+                 train_fraction: float = 0.8, seeds: tuple = (0,)) -> dict:
     """Train and evaluate every (seed, fold) job of a protocol split.
 
-    seeds defaults to train_cfg.seed alone. Jobs run in a thread pool sized
-    by LIDSN_THREADS and are reduced seed-major, fold-minor, so the output
-    does not depend on scheduling. Aggregates are mean and sample std
-    (ddof=1, zero for a single job).
+    Each seed draws its own initialisation, shuffling and dropout. Jobs run in
+    a thread pool sized by LIDSN_THREADS and are reduced seed-major,
+    fold-minor, so the output does not depend on scheduling. Aggregates are
+    mean and sample std (ddof=1, zero for a single job).
     """
     plan = make_split(epochs_set, protocol, n_folds=n_folds, train_fraction=train_fraction)
-    jobs = [
-        (replace(train_cfg, seed=seed), k, tr, te)
-        for seed in ([train_cfg.seed] if seeds is None else seeds)
-        for k, (tr, te) in enumerate(plan.folds)
-    ]
+    jobs = [(seed, k, tr, te) for seed in seeds for k, (tr, te) in enumerate(plan.folds)]
 
     def work(job):
-        cfg, k, tr, te = job
-        return run_fold(epochs_set, tr, te, model_cfg, cfg, k, align=align)
+        seed, k, tr, te = job
+        return run_fold(epochs_set, tr, te, model_cfg, train_cfg, k, seed, align=align)
 
     workers = min(thread_budget(), len(jobs))
     if workers == 1:

@@ -17,6 +17,7 @@ from lidsn.cli import main
 from lidsn.config import ModelConfig
 from lidsn.data import (
     ClassRecipe,
+    FeatureArgs,
     SynthSpec,
     euclidean_align,
     load_epochs,
@@ -258,8 +259,8 @@ def test_criterion_4_parameter_and_flop_accounting():
 
 def _logistic_pilot_accuracy(epochs_set, train_trials, test_trials) -> float:
     """Plain logistic regression on band-power features of the same split."""
-    feats = rpsd_features(epochs_set, outer_window_s=4.0, outer_overlap=0.0,
-                          inner_window_s=2.0, inner_overlap=0.75)
+    feats = rpsd_features(epochs_set, FeatureArgs(outer_window_s=4.0, outer_overlap=0.0,
+                                                  inner_window_s=2.0, inner_overlap=0.75))
     assert feats.n_trials == epochs_set.n_trials  # one outer segment per trial
     x = feats.data.reshape(feats.n_trials, -1)
     y = feats.labels
@@ -289,12 +290,12 @@ def test_criterion_5_end_to_end_learning():
     tr, te = plan.folds[0]
     assert _logistic_pilot_accuracy(epochs_set, tr, te) >= 0.85
 
-    tcfg = TrainConfig(epochs=50, patience=20, seed=0)
+    tcfg = TrainConfig(epochs=50, patience=20)
     accs = {}
     for mode in ("st2t", "none"):
         cfg = ModelConfig(n_channels=8, n_samples=512, n_classes=2,
                           integration_mode=mode)
-        fold = run_fold(epochs_set, tr, te, cfg, tcfg, fold=0)
+        fold = run_fold(epochs_set, tr, te, cfg, tcfg, fold=0, seed=0)
         accs[mode] = fold.metrics["accuracy"]
         assert fold.outcome.epochs_run <= 50
     assert accs["st2t"] >= 0.90

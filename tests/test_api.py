@@ -1,6 +1,6 @@
 """Package surface."""
 import ast
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +8,7 @@ import pytest
 import lidsn
 from lidsn.cli import RunConfig
 from lidsn.config import ModelConfig
-from lidsn.data import FeatureArgs, SynthSpec
+from lidsn.data import ClassRecipe, FeatureArgs, SynthSpec
 from lidsn.errors import ConfigError
 from lidsn.training import TrainConfig
 
@@ -83,6 +83,27 @@ def test_every_public_tensor_function_has_a_caller_in_the_package():
                   and node.value.id == "tz"):
                 called.add(node.attr)
     assert sorted(public - called) == []
+
+
+def test_every_config_field_is_read_outside_its_class():
+    # a field that only its own checks and properties read is a knob with no
+    # effect; a read is an attribute load or a keyword argument of that name
+    package = Path(lidsn.__file__).parent
+    reads = []  # (name of the top-level class it sits in or None, names read)
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                elif isinstance(node, ast.keyword):
+                    names.add(node.arg)
+            reads.append((top.name if isinstance(top, ast.ClassDef) else None, names))
+    unread = []
+    for cls in (ModelConfig, TrainConfig, RunConfig, SynthSpec, ClassRecipe, FeatureArgs):
+        outside = set().union(*(names for owner, names in reads if owner != cls.__name__))
+        unread += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in outside]
+    assert unread == []
 
 
 # (config type, required fields, one out-of-range field)

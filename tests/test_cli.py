@@ -315,7 +315,7 @@ BAD_CONFIGS = {
     "synth_fs_bool": ("synth", dict(SYNTH_SPEC, fs=True), "fs"),
     "synth_classes_int": ("synth", dict(SYNTH_SPEC, classes=5), "classes"),
     "synth_freq_str": ("synth", _classes(freq_hz="a"), "classes[0].freq_hz"),
-    "ln_eps_nan": ("train", _model(ln_eps=float("nan")), "model.ln_eps"),
+    "dropout_nan": ("train", _model(dropout=float("nan")), "model.dropout"),
     "feature_window_inf": ("train", dict(RUN_CONFIG, features=True,
                                          feature_args={"outer_window_s": float("inf")}),
                            "feature_args.outer_window_s"),
@@ -323,10 +323,10 @@ BAD_CONFIGS = {
     "n_heads_zero": ("train", _model(n_heads=0), "n_heads"),
     "n_heads_negative": ("train", _model(embed_dim=40, n_heads=-4), "n_heads"),
     "spatial_maps_zero": ("train", _model(spatial_maps=0), "spatial_maps"),
-    "fusion_hidden_negative": ("train", _model(fusion_hidden=-7), "fusion_hidden"),
     "seeds_negative": ("train", dict(RUN_CONFIG, seeds=[-1]), "seeds"),
-    "train_seed_negative": ("train", _train(seed=-1), "seed"),
-    "train_seed_nonzero": ("train", _train(seed=5), "seeds"),
+    # job seeds come only from "seeds"; removed knobs fail as unknown keys
+    "train_seed": ("train", _train(seed=5), "train.seed"),
+    "bn_eps_removed": ("train", _model(bn_eps=-1.0), "model.bn_eps"),
     "fusion_width_zero_train": ("train", _model(embed_dim=1, n_heads=1), "fusion"),
     "fusion_width_zero_count": ("count", {"model": {"embed_dim": 1, "n_heads": 1}}, "fusion"),
     # checked even with "features" false, where the feature stage never runs

@@ -14,6 +14,7 @@ from lidsn.data import (
     DEFAULT_BANDS,
     ClassRecipe,
     EpochSet,
+    FeatureArgs,
     SynthSpec,
     euclidean_align,
     load_epochs,
@@ -345,17 +346,16 @@ def test_align_survives_exactly_singular_covariance():
 # ---------------------------------------------------------------------------
 # relative PSD features
 
-FEATURE_ARGS = dict(outer_window_s=2.0, outer_overlap=0.5,
-                    inner_window_s=1.0, inner_overlap=0.75)
+FEATURE_ARGS = FeatureArgs(outer_window_s=2.0, outer_overlap=0.5,
+                           inner_window_s=1.0, inner_overlap=0.75)
 
 
-def oracle_rpsd(e, outer_window_s, outer_overlap, inner_window_s, inner_overlap,
-                bands=DEFAULT_BANDS):
+def oracle_rpsd(e, args, bands=DEFAULT_BANDS):
     """Re-derivation with an explicit DFT matrix instead of an FFT."""
-    w_out = int(round(outer_window_s * e.fs))
-    w_in = int(round(inner_window_s * e.fs))
-    hop_out = max(1, int(round(w_out * (1.0 - outer_overlap))))
-    hop_in = max(1, int(round(w_in * (1.0 - inner_overlap))))
+    w_out = int(round(args.outer_window_s * e.fs))
+    w_in = int(round(args.inner_window_s * e.fs))
+    hop_out = max(1, int(round(w_out * (1.0 - args.outer_overlap))))
+    hop_in = max(1, int(round(w_in * (1.0 - args.inner_overlap))))
     n_freq = w_in // 2 + 1
     k = np.arange(n_freq)[:, None]
     n = np.arange(w_in)[None, :]
@@ -382,8 +382,8 @@ def oracle_rpsd(e, outer_window_s, outer_overlap, inner_window_s, inner_overlap,
 
 def test_rpsd_matches_dft_oracle():
     e = synth_generate(small_spec(n_subjects=1, trials_per_subject=4), seed=14)
-    got = rpsd_features(e, **FEATURE_ARGS)
-    want = oracle_rpsd(e, **FEATURE_ARGS)
+    got = rpsd_features(e, FEATURE_ARGS)
+    want = oracle_rpsd(e, FEATURE_ARGS)
     assert got.data.shape == want.shape
     assert np.abs(got.data - want).max() < 1e-9
 
@@ -421,10 +421,10 @@ def test_rpsd_property_matches_dft_oracle(n_trials, n_channels, w_in, extra_out,
         # bin 1 alone, then every bin above it
         bin1 = fs / w_in
         bands = ((0.99 * bin1, 1.01 * bin1), (1.5 * bin1, fs / 2))
-    args = dict(outer_window_s=w_out / fs, outer_overlap=outer_overlap,
-                inner_window_s=w_in / fs, inner_overlap=inner_overlap)
-    got = rpsd_features(e, bands=bands, **args)
-    want = oracle_rpsd(e, bands=bands, **args)
+    args = FeatureArgs(outer_window_s=w_out / fs, outer_overlap=outer_overlap,
+                       inner_window_s=w_in / fs, inner_overlap=inner_overlap)
+    got = rpsd_features(e, args, bands)
+    want = oracle_rpsd(e, args, bands)
     assert got.data.shape == want.shape
     assert np.abs(got.data - want).max() < 1e-9
     rows = want.shape[0] // n_trials
@@ -445,12 +445,12 @@ def test_rpsd_zero_mass_names_first_segment_and_channel():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"^{re.escape(want)}$"):
-            rpsd_features(e, **FEATURE_ARGS)
+            rpsd_features(e, FEATURE_ARGS)
 
 
 def test_rpsd_geometry_and_metadata():
     e = synth_generate(small_spec(), seed=15)
-    f = rpsd_features(e, **FEATURE_ARGS)
+    f = rpsd_features(e, FEATURE_ARGS)
     # T=256 at 128 Hz: outer 256/hop 128 -> 1 segment; inner 128/hop 32 -> 5 sub-windows
     assert f.data.shape == (e.n_trials, e.n_channels, 5 * len(DEFAULT_BANDS))
     assert np.array_equal(f.labels, e.labels)
@@ -459,7 +459,7 @@ def test_rpsd_geometry_and_metadata():
 
 def test_rpsd_rows_are_zscored_per_channel():
     e = synth_generate(small_spec(n_subjects=1, trials_per_subject=2), seed=16)
-    f = rpsd_features(e, **FEATURE_ARGS)
+    f = rpsd_features(e, FEATURE_ARGS)
     assert np.abs(f.data.mean(-1)).max() < 1e-12
     assert np.abs(f.data.std(-1) - 1.0).max() < 1e-12
 
@@ -469,7 +469,7 @@ def test_rpsd_sinusoid_peaks_in_alpha_band():
     # still dominates its channel by orders of magnitude
     e = synth_generate(clean_spec(n_subjects=1, trials_per_subject=4,
                                   white_sigma=0.01), seed=17)
-    f = rpsd_features(e, **FEATURE_ARGS)
+    f = rpsd_features(e, FEATURE_ARGS)
     n_bands = len(DEFAULT_BANDS)
     alpha = DEFAULT_BANDS.index((8.0, 12.0))
     rows_per_trial = f.n_trials // e.n_trials
@@ -481,14 +481,14 @@ def test_rpsd_sinusoid_peaks_in_alpha_band():
 def test_rpsd_errors():
     e = synth_generate(small_spec(n_subjects=1, trials_per_subject=2), seed=18)
     with pytest.raises(ConfigError):
-        rpsd_features(e, outer_window_s=100.0)
+        rpsd_features(e, FeatureArgs(outer_window_s=100.0))
     with pytest.raises(ConfigError):
-        rpsd_features(e, outer_window_s=1.0, inner_window_s=2.0)
+        rpsd_features(e, FeatureArgs(outer_window_s=1.0, inner_window_s=2.0))
     with pytest.raises(ConfigError):
-        rpsd_features(e, bands=())
+        rpsd_features(e, FEATURE_ARGS, bands=())
     zeros = EpochSet(np.zeros((1, 2, 256)), np.zeros(1), np.zeros(1), 128.0, 1)
     with pytest.raises(NumericError):
-        rpsd_features(zeros, **FEATURE_ARGS)
+        rpsd_features(zeros, FEATURE_ARGS)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from lidsn.tensor import Tensor
 # ---------------------------------------------------------------------------
 # numpy oracles
 
+NORM_EPS = 1e-5  # batchnorm and layernorm epsilon the network uses
+
 
 def np_gelu(x):
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
@@ -83,7 +85,7 @@ def oracle_temporal(x, vals, cfg):
     y = np_bn_eval(y[None], vals["temporal_tokenizer.norm.gain"],
                    vals["temporal_tokenizer.norm.bias"],
                    vals["temporal_tokenizer.norm.running_mean"],
-                   vals["temporal_tokenizer.norm.running_var"], cfg.bn_eps)[0]
+                   vals["temporal_tokenizer.norm.running_var"], NORM_EPS)[0]
     w_dw = vals["temporal_tokenizer.depthwise.weight"]
     y = np.stack([np_conv_same(y[d], w_dw[d], 1) for d in range(cfg.embed_dim)])
     y = y + vals["temporal_tokenizer.depthwise.bias"][:, None]
@@ -104,14 +106,14 @@ def oracle_spatial(x, vals, cfg):
         maps = np_bn_eval(maps[None], vals["spatial_tokenizer.norm.gain"],
                           vals["spatial_tokenizer.norm.bias"],
                           vals["spatial_tokenizer.norm.running_mean"],
-                          vals["spatial_tokenizer.norm.running_var"], cfg.bn_eps)[0]
+                          vals["spatial_tokenizer.norm.running_var"], NORM_EPS)[0]
         maps = np_avgpool(maps, cfg.spatial_pool_window, cfg.spatial_pool_stride)
         rows.append(maps.reshape(-1))
     return np.stack(rows) @ vals["spatial_tokenizer.proj.weight"]
 
 
 def oracle_ffn(z, vals, prefix, cfg):
-    h = np_layernorm(z, vals[f"{prefix}.norm.gain"], vals[f"{prefix}.norm.bias"], cfg.ln_eps)
+    h = np_layernorm(z, vals[f"{prefix}.norm.gain"], vals[f"{prefix}.norm.bias"], NORM_EPS)
     h = np_gelu(h @ vals[f"{prefix}.expand.weight"] + vals[f"{prefix}.expand.bias"])
     h = h @ vals[f"{prefix}.contract.weight"] + vals[f"{prefix}.contract.bias"]
     return z + h

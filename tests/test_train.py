@@ -228,11 +228,11 @@ def test_evaluate_model_loss_matches_primitive(tiny_cfg):
 
 def test_train_is_deterministic(tiny_cfg):
     e = tiny_data(tiny_cfg)
-    cfg = TrainConfig(epochs=3, patience=3, batch_size=8, seed=4)
+    cfg = TrainConfig(epochs=3, patience=3, batch_size=8)
     x = e.data
     runs = []
     for _ in range(2):
-        out = train_model(tiny_cfg, cfg, x[:20], e.labels[:20], x[20:], e.labels[20:])
+        out = train_model(tiny_cfg, cfg, x[:20], e.labels[:20], x[20:], e.labels[20:], seed=4)
         runs.append(out)
     assert runs[0].curves == runs[1].curves
     best = [run.model.params.value_dict() for run in runs]
@@ -240,11 +240,24 @@ def test_train_is_deterministic(tiny_cfg):
         assert np.array_equal(best[0][name], best[1][name])
 
 
+def test_patience_beyond_epochs_changes_nothing(tiny_cfg):
+    """Patience at or above epochs can never stop a run early, so it is accepted."""
+    e = tiny_data(tiny_cfg)
+    x = e.data
+    runs = [train_model(tiny_cfg, TrainConfig(epochs=3, patience=p, batch_size=8),
+                        x[:20], e.labels[:20], x[20:], e.labels[20:], seed=4)
+            for p in (3, 50)]
+    assert runs[0].curves == runs[1].curves and runs[1].epochs_run == 3
+    best = [run.model.params.value_dict() for run in runs]
+    for name in best[0]:
+        assert np.array_equal(best[0][name], best[1][name])
+
+
 def test_train_early_stopping_invariant(tiny_cfg):
     e = tiny_data(tiny_cfg)
-    cfg = TrainConfig(epochs=40, patience=3, batch_size=8, seed=5)
+    cfg = TrainConfig(epochs=40, patience=3, batch_size=8)
     x = e.data
-    out = train_model(tiny_cfg, cfg, x[:18], e.labels[:18], x[18:], e.labels[18:])
+    out = train_model(tiny_cfg, cfg, x[:18], e.labels[:18], x[18:], e.labels[18:], seed=5)
     assert len(out.curves) == out.epochs_run
     if out.epochs_run < cfg.epochs:
         assert out.epochs_run == out.best_epoch + cfg.patience
@@ -255,9 +268,10 @@ def test_train_early_stopping_invariant(tiny_cfg):
 
 def test_train_without_validation_runs_all_epochs(tiny_cfg):
     e = tiny_data(tiny_cfg)
-    cfg = TrainConfig(epochs=3, patience=3, batch_size=8, seed=6)
+    cfg = TrainConfig(epochs=3, patience=3, batch_size=8)
     empty = np.zeros((0, tiny_cfg.n_channels, tiny_cfg.n_samples))
-    out = train_model(tiny_cfg, cfg, e.data, e.labels, empty, np.zeros(0, dtype=np.int64))
+    out = train_model(tiny_cfg, cfg, e.data, e.labels, empty, np.zeros(0, dtype=np.int64),
+                      seed=6)
     assert out.epochs_run == 3 and out.best_epoch == 3
     assert np.isnan(out.best_val_loss)
     assert all("val_loss" not in row for row in out.curves)
@@ -265,9 +279,9 @@ def test_train_without_validation_runs_all_epochs(tiny_cfg):
 
 def test_train_restores_best_snapshot(tiny_cfg):
     e = tiny_data(tiny_cfg)
-    cfg = TrainConfig(epochs=6, patience=2, batch_size=8, seed=7)
+    cfg = TrainConfig(epochs=6, patience=2, batch_size=8)
     x = e.data
-    out = train_model(tiny_cfg, cfg, x[:18], e.labels[:18], x[18:], e.labels[18:])
+    out = train_model(tiny_cfg, cfg, x[:18], e.labels[:18], x[18:], e.labels[18:], seed=7)
     w = class_weights(e.labels[:18], 2, cfg.class_weight_mode)
     revalidated = evaluate_model(out.model, x[18:], e.labels[18:], w)["loss"]
     # restored parameters are float32-rounded, so allow rounding-level drift
@@ -307,10 +321,10 @@ def test_train_keeps_final_short_batch(tiny_cfg):
     """9 trials at batch 8 leave a size-1 remainder; it joins the batch before
     it (train-mode batch statistics need two rows) instead of being dropped."""
     e = tiny_data(tiny_cfg)
-    cfg = TrainConfig(epochs=1, patience=1, batch_size=8, seed=10)
+    cfg = TrainConfig(epochs=1, patience=1, batch_size=8)
     empty = np.zeros((0, tiny_cfg.n_channels, tiny_cfg.n_samples))
     out = train_model(tiny_cfg, cfg, e.data[:9], e.labels[:9], empty,
-                      np.zeros(0, dtype=np.int64))
+                      np.zeros(0, dtype=np.int64), seed=10)
     assert out.epochs_run == 1
     assert np.isfinite(out.curves[0]["train_loss"])
 
@@ -333,16 +347,15 @@ def test_train_config_validation_and_parsing():
         TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(beta2=1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=5, patience=6)
+    with pytest.raises(ConfigError, match="patience"):
+        TrainConfig(patience=0)
     with pytest.raises(ConfigError, match="batchnorm"):
         TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
         from_dict(TrainConfig, {"lr": 0.01, "bogus": 1})
     cfg = from_dict(TrainConfig, {"lr": 0.01, "epochs": 30})
     assert cfg.lr == 0.01 and cfg.epochs == 30 and cfg.patience == 20
-    with pytest.raises(ConfigError):
-        from_dict(TrainConfig, {"epochs": 5})  # default patience 20 exceeds it
+    assert from_dict(TrainConfig, {"epochs": 5}).patience == 20  # patience may exceed epochs
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +404,11 @@ def test_thread_budget_env(monkeypatch):
 
 def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch):
     e = tiny_data(tiny_cfg, trials=10)
-    cfg = TrainConfig(epochs=2, patience=2, batch_size=8, seed=8)
+    cfg = TrainConfig(epochs=2, patience=2, batch_size=8)
     monkeypatch.setenv("LIDSN_THREADS", "1")
-    a = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2)
+    a = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2, seeds=(8,))
     monkeypatch.setenv("LIDSN_THREADS", "2")
-    b = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2)
+    b = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2, seeds=(8,))
     assert a["mean_accuracy"] == b["mean_accuracy"]
     assert a["std_accuracy"] == b["std_accuracy"]
     fold_accs = [f.metrics["accuracy"] for f in a["folds"]]
@@ -411,8 +424,8 @@ def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch
 
 def test_run_protocol_reports_aggregates(tiny_cfg):
     e = tiny_data(tiny_cfg, trials=10)
-    cfg = TrainConfig(epochs=2, patience=2, batch_size=8, seed=9)
-    rep = run_protocol(e, "CO", tiny_cfg, cfg, train_fraction=0.8)
+    cfg = TrainConfig(epochs=2, patience=2, batch_size=8)
+    rep = run_protocol(e, "CO", tiny_cfg, cfg, train_fraction=0.8, seeds=(9,))
     assert rep["protocol"] == "CO" and len(rep["folds"]) == 1
     f = rep["folds"][0]
     assert f.n_train + f.n_val == 16 and f.n_test == 4
