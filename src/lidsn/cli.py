@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: train, eval, synth, align, features, split, grad-check, count,
+Subcommands: train, eval, synth, features, split, grad-check, count,
 export-viz. Exit codes: 0 success, 1 usage or configuration problems, 2 data
 format problems, 3 numeric failures. Every failure prints one line to stderr
 of the form ``error[<kind>]: <message>``.
@@ -35,7 +35,7 @@ from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .gradcheck import battery
 from .network import Model, saliency
 from .params import count_params_flops, load_snapshot, save_snapshot
-from .training import TrainConfig, evaluate_model, run_protocol
+from .training import TrainConfig, check_seeds, evaluate_model, run_protocol
 from .viz import format_cell, matrix_csv, save_heatmap, write_csv
 
 _VIZ_STEMS = {"affinity": "sacm", "attention": "tcam", "importance": "omega"}
@@ -74,8 +74,7 @@ class RunConfig:
             raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be non-empty and >= 0, got {list(self.seeds)}")
+        check_seeds(self.seeds)
 
     def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
         """The model section, filled in for this data geometry and validated."""
@@ -272,13 +271,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_align(args) -> int:
-    epochs = euclidean_align(load_epochs(args.data))
-    save_epochs(args.out, epochs)
-    print(f"wrote {args.out} trials={epochs.n_trials}")
-    return 0
-
-
 def cmd_features(args) -> int:
     epochs = rpsd_features(load_epochs(args.data), FeatureArgs(
         args.outer_window, args.outer_overlap, args.inner_window, args.inner_overlap))
@@ -372,11 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="synth spec JSON")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("align", help="per-subject covariance whitening")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("features", help="relative band-power features")
     p.add_argument("--data", required=True)

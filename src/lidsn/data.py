@@ -428,20 +428,14 @@ def make_split(epochs: EpochSet, protocol: str, n_folds: int = 5,
             sizes = [base + 1 if k < rem else base for k in range(n_folds)]
             bounds = np.cumsum([0] + sizes)
             segments[s] = [idx[bounds[k] : bounds[k + 1]] for k in range(n_folds)]
-        folds = []
-        for k in range(n_folds):
-            test = np.concatenate([segments[s][k] for s in subj_ids])
-            mask = np.ones(epochs.n_trials, dtype=bool)
-            mask[test] = False
-            folds.append((all_idx[mask], test))
-        return SplitPlan("CV", folds)
-
-    if subj_ids.size < 2:
-        raise ConfigError("LOSO needs at least two subjects")
+        tests = [np.concatenate([segments[s][k] for s in subj_ids]) for k in range(n_folds)]
+    else:
+        if subj_ids.size < 2:
+            raise ConfigError("LOSO needs at least two subjects")
+        tests = [by_subject[s] for s in subj_ids]
     folds = []
-    for s in subj_ids:
-        test = by_subject[s]
+    for test in tests:
         mask = np.ones(epochs.n_trials, dtype=bool)
         mask[test] = False
         folds.append((all_idx[mask], test))
-    return SplitPlan("LOSO", folds)
+    return SplitPlan(protocol, folds)

@@ -18,6 +18,9 @@ from .tensor import Tape, Tensor, _record, backward
 
 SHUFFLE_STREAM = 1
 DROPOUT_STREAM = 2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.95
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -26,11 +29,7 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     patience: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    class_weight_mode: str = "inverse"
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -45,28 +44,15 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= b < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {b}")
-        if not (self.eps > 0):
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.class_weight_mode not in ("inverse", "uniform"):
-            raise ConfigError(
-                f"class_weight_mode must be 'inverse' or 'uniform', got {self.class_weight_mode!r}"
-            )
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
-def class_weights(labels: np.ndarray, n_classes: int, mode: str = "inverse") -> np.ndarray:
-    """Per-class loss weights: n_total / (K * n_k) for 'inverse', ones for 'uniform'."""
+def class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Inverse-frequency per-class loss weights, n_total / (K * n_k)."""
     labels = np.asarray(labels)
-    if mode == "uniform":
-        return np.ones(n_classes)
-    if mode != "inverse":
-        raise ConfigError(f"unknown class weight mode {mode!r}")
     counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
     if np.any(counts == 0):
         missing = int(np.where(counts == 0)[0][0])
@@ -133,11 +119,11 @@ class Adam:
                 raise NumericError(f"non-finite gradient for parameter {name}")
             self._t[name] += 1
             t = self._t[name]
-            m = self._m[name] = c.beta1 * self._m[name] + (1.0 - c.beta1) * g
-            v = self._v[name] = c.beta2 * self._v[name] + (1.0 - c.beta2) * g * g
-            m_hat = m / (1.0 - c.beta1 ** t)
-            v_hat = v / (1.0 - c.beta2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + c.eps)
+            m = self._m[name] = ADAM_BETA1 * self._m[name] + (1.0 - ADAM_BETA1) * g
+            v = self._v[name] = ADAM_BETA2 * self._v[name] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if c.weight_decay:
                 update = update + c.weight_decay * tensor.data
             tensor.data = tensor.data - c.lr * update
@@ -236,7 +222,7 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     empty validation set early stopping is disabled and the final epoch wins.
     """
     model = Model.build(model_cfg, seed=seed)
-    weights = class_weights(y_train, model_cfg.n_classes, train_cfg.class_weight_mode)
+    weights = class_weights(y_train, model_cfg.n_classes)
     shuffle = RngStream(seed, SHUFFLE_STREAM)
     drop_rng = RngStream(seed, DROPOUT_STREAM)
     opt = Adam(model.params, train_cfg)
@@ -338,6 +324,12 @@ def thread_budget() -> int:
     return n
 
 
+def check_seeds(seeds: tuple[int, ...]) -> None:
+    """Job seeds: at least one, each >= 0."""
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-empty and >= 0, got {list(seeds)}")
+
+
 def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
              model_cfg: ModelConfig, train_cfg: TrainConfig, fold: int, seed: int,
              align: bool = False) -> FoldOutcome:
@@ -365,6 +357,7 @@ def run_protocol(epochs_set: EpochSet, protocol: str, model_cfg: ModelConfig,
     fold-minor, so the output does not depend on scheduling. Aggregates are
     mean and sample std (ddof=1, zero for a single job).
     """
+    check_seeds(seeds)
     plan = make_split(epochs_set, protocol, n_folds=n_folds, train_fraction=train_fraction)
     jobs = [(seed, k, tr, te) for seed in seeds for k, (tr, te) in enumerate(plan.folds)]
 

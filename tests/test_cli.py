@@ -1,11 +1,15 @@
 """Command-line interface: artifacts, determinism, exit codes."""
+import argparse
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lidsn.cli import canonical_json, main
+from lidsn import cli
+from lidsn.cli import build_parser, canonical_json, main
 from lidsn.data import load_epochs
 from lidsn.gradcheck import primitive_cases
 
@@ -179,15 +183,6 @@ def test_export_viz_writes_maps(work, capsys, mode, fusion):
     assert capsys.readouterr().out == f"wrote {len(names)} files to {out}\n"
 
 
-def test_align_smoke(work):
-    out = work["root"] / "aligned.eegb"
-    assert main(["align", "--data", str(work["data"]), "--out", str(out)]) == 0
-    aligned = load_epochs(out)
-    orig = load_epochs(work["data"])
-    assert aligned.data.shape == orig.data.shape
-    assert not np.array_equal(aligned.data, orig.data)
-
-
 def test_features_smoke(work):
     out = work["root"] / "features.eegb"
     assert main(["features", "--data", str(work["data"]), "--out", str(out),
@@ -260,7 +255,7 @@ def test_missing_file_exits_2(work, capsys):
 def test_corrupt_file_exits_2(work, capsys):
     bad = work["root"] / "bad.eegb"
     bad.write_bytes(b"NOPE" + bytes(40))
-    assert main(["align", "--data", str(bad), "--out", str(work["root"] / "o.eegb")]) == 2
+    assert main(["split", "--data", str(bad), "--protocol", "CO"]) == 2
     assert capsys.readouterr().err.startswith("error[bad_magic]:")
 
 
@@ -327,6 +322,9 @@ BAD_CONFIGS = {
     # job seeds come only from "seeds"; removed knobs fail as unknown keys
     "train_seed": ("train", _train(seed=5), "train.seed"),
     "bn_eps_removed": ("train", _model(bn_eps=-1.0), "model.bn_eps"),
+    "beta2_removed": ("train", _train(beta2=0.95), "train.beta2"),
+    "class_weight_mode_removed": ("train", _train(class_weight_mode="inverse"),
+                                  "train.class_weight_mode"),
     "fusion_width_zero_train": ("train", _model(embed_dim=1, n_heads=1), "fusion"),
     "fusion_width_zero_count": ("count", {"model": {"embed_dim": 1, "n_heads": 1}}, "fusion"),
     # checked even with "features" false, where the feature stage never runs
@@ -434,11 +432,20 @@ def test_snapshot_bad_value_exits_2(work, capsys, name, value, kind):
     assert len(err.splitlines()) == 1
 
 
+def test_docs_name_exactly_the_cli_subcommands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = re.search(r"Subcommands:([^.]*)\.", cli.__doc__).group(1)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert {name.strip() for name in listed.split(",")} == set(sub.choices)
+    assert set(re.findall(r"^lidsn ([\w-]+)", readme, re.M)) == set(sub.choices)
+
+
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["bogus-command"])
-    assert e.value.code == 1
-    assert "error[usage]:" in capsys.readouterr().err
+    for argv in (["bogus-command"], ["align", "--data", "x", "--out", "y"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        assert "error[usage]:" in capsys.readouterr().err
 
 
 def test_viz_trial_out_of_range_exits_1(work, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidsn import training
 from lidsn.config import ModelConfig, from_dict
 from lidsn.data import ClassRecipe, EpochSet, SynthSpec, synth_generate
 from lidsn.errors import ConfigError, NumericError
@@ -45,17 +46,13 @@ def tiny_data(tiny_cfg, n_subjects=2, trials=12, seed=0):
 
 def test_class_weights_inverse_frequency():
     labels = np.array([0] * 8 + [1] * 4)
-    w = class_weights(labels, 2, "inverse")
+    w = class_weights(labels, 2)
     assert np.allclose(w, [12 / (2 * 8), 12 / (2 * 4)])
-
-
-def test_class_weights_uniform():
-    assert np.array_equal(class_weights(np.array([0, 1, 1]), 2, "uniform"), [1.0, 1.0])
 
 
 def test_class_weights_missing_class_rejected():
     with pytest.raises(ConfigError):
-        class_weights(np.array([0, 0, 0]), 2, "inverse")
+        class_weights(np.array([0, 0, 0]), 2)
 
 
 def test_cross_entropy_uniform_logits_is_log_k():
@@ -114,7 +111,7 @@ def one_param(v):
 
 
 def test_adam_two_steps_match_hand_rollout():
-    cfg = TrainConfig(lr=0.1, beta1=0.9, beta2=0.95, eps=1e-8)
+    cfg = TrainConfig(lr=0.1)
     ps = one_param([1.0, -2.0])
     opt = Adam(ps, cfg)
     g = np.array([0.5, -1.0])
@@ -282,7 +279,7 @@ def test_train_restores_best_snapshot(tiny_cfg):
     cfg = TrainConfig(epochs=6, patience=2, batch_size=8)
     x = e.data
     out = train_model(tiny_cfg, cfg, x[:18], e.labels[:18], x[18:], e.labels[18:], seed=7)
-    w = class_weights(e.labels[:18], 2, cfg.class_weight_mode)
+    w = class_weights(e.labels[:18], 2)
     revalidated = evaluate_model(out.model, x[18:], e.labels[18:], w)["loss"]
     # restored parameters are float32-rounded, so allow rounding-level drift
     assert revalidated == pytest.approx(out.best_val_loss, rel=1e-4)
@@ -345,8 +342,6 @@ def test_batches_partition_order_with_two_rows_each(n, batch_size, seed):
 def test_train_config_validation_and_parsing():
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(beta2=1.0)
     with pytest.raises(ConfigError, match="patience"):
         TrainConfig(patience=0)
     with pytest.raises(ConfigError, match="batchnorm"):
@@ -420,6 +415,15 @@ def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch
         best_b = fb.outcome.model.params.value_dict()
         for name in best_a:
             assert np.array_equal(best_a[name], best_b[name])
+
+
+@pytest.mark.parametrize("seeds", [(), (0, -1)])
+def test_run_protocol_rejects_bad_seeds_before_any_job(tiny_cfg, monkeypatch, seeds):
+    started = []
+    monkeypatch.setattr(training, "run_fold", lambda *a, **kw: started.append(a))
+    with pytest.raises(ConfigError, match="seeds must be non-empty and >= 0"):
+        run_protocol(tiny_data(tiny_cfg, trials=10), "CO", tiny_cfg, TrainConfig(), seeds=seeds)
+    assert started == []
 
 
 def test_run_protocol_reports_aggregates(tiny_cfg):
