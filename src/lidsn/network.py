@@ -211,16 +211,15 @@ def classify(u: Tensor, params: ParamSet) -> Tensor:
     return tz.matmul(h, params["classifier.out.weight"]) + params["classifier.out.bias"]
 
 
-def eval_block(cfg: ModelConfig) -> int:
-    """Trials per tokenizer block of an untaped eval forward.
+def eval_block(cfg: ModelConfig) -> tuple[int, ...]:
+    """Trials per block of the temporal and of the spatial tokenizer in an untaped eval forward.
 
-    The widest activation of one block, the depthwise conv's [n, D, T] or the
+    Each tokenizer's widest activation, the depthwise conv's [n, D, T] or the
     spatial conv's [n * C, maps, conv_len], fills about BLOCK_BYTES; a block
     holds at least one trial.
     """
-    width = max(cfg.embed_dim * cfg.n_samples,
-                cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
-    return max(1, BLOCK_BYTES // (width * np.dtype(cfg.np_dtype).itemsize))
+    widths = (cfg.embed_dim * cfg.n_samples, cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
+    return tuple(max(1, BLOCK_BYTES // (w * np.dtype(cfg.np_dtype).itemsize)) for w in widths)
 
 
 def forward(
@@ -235,20 +234,23 @@ def forward(
 
     A capture dict receives detached copies of the attention maps and patch
     weights, keyed by block, e.g. ``layer1.tsia_rev/attention``. A pass that
-    records nothing runs the tokenizers over blocks of eval_block(cfg) trials,
-    which stay in cache; the layers run on the whole batch.
+    records nothing runs each tokenizer over blocks of its eval_block(cfg)
+    trials, which stay in cache; the layers run on the whole batch.
     """
     if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.n_samples:
         raise ShapeError(
             f"forward expects [B, {cfg.n_channels}, {cfg.n_samples}], got {x.shape}"
         )
     b = x.shape[0]
-    step = b if training or tz.active_tape() is not None else eval_block(cfg)
+    taped = training or tz.active_tape() is not None
+    tokens = []
     # eval batchnorm uses running statistics, so every trial tokenizes alone
     # and a block's tokens equal the whole batch's bit for bit
-    blocks = [x] if step >= b else [Tensor(x.data[lo : lo + step]) for lo in range(0, b, step)]
-    z_t = tz.concat([temporal_tokenize(xb, params, cfg, training) for xb in blocks])
-    z_s = tz.concat([spatial_tokenize(xb, params, cfg, training) for xb in blocks])
+    for tokenize, step in zip((temporal_tokenize, spatial_tokenize), eval_block(cfg)):
+        blocks = [x] if taped or step >= b else [Tensor(x.data[lo : lo + step])
+                                                 for lo in range(0, b, step)]
+        tokens.append(tz.concat([tokenize(xb, params, cfg, training) for xb in blocks]))
+    z_t, z_s = tokens
     if cfg.use_positional_embedding:
         z_t = tz.add(z_t, params["position.temporal"])
         z_s = tz.add(z_s, params["position.spatial"])

@@ -22,7 +22,10 @@ other mutable state, updated explicitly by train-mode batchnorm.
 
 All primitives raise NumericError on a non-finite output, naming a non-finite
 input as the cause when there is one; backward checks every input gradient
-the same way.
+the same way. The check is one elementwise isfinite reduction per output and
+per gradient (``_finite``), never a sum: a sum of finite values can overflow
+or meet inf - inf, and numpy's warning for that would fail the suite or
+precede the CLI's error line.
 """
 from __future__ import annotations
 
@@ -45,8 +48,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        arr = data if type(data) is np.ndarray else np.asarray(data)
+        if arr.dtype.char not in "fd":  # float32 or float64
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -123,11 +126,16 @@ def _taping(inputs: tuple) -> Tape | None:
     return tapes[-1] if tapes and any(t.requires_grad for t in inputs) else None
 
 
+def _finite(a) -> bool:
+    """np.all(np.isfinite(a)), without np.all's Python wrapper."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
 def _record(op: str, out_data: np.ndarray, inputs: tuple, backward: Callable) -> Tensor:
     """Wrap out_data; record the backward rule if anything upstream needs it."""
-    if not np.all(np.isfinite(out_data)):
+    if not _finite(out_data):
         # inputs are checked only here, so the finite path pays nothing for it
-        if any(not np.all(np.isfinite(t.data)) for t in inputs):
+        if any(not _finite(t.data) for t in inputs):
             raise NumericError(f"{op}: non-finite input")
         raise NumericError(f"{op}: non-finite output from finite inputs")
     tape = _taping(inputs)
@@ -163,7 +171,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         for key, gi in zip(entry.inputs, entry.backward(g)):
             if key is None or gi is None:
                 continue
-            if not np.all(np.isfinite(gi)):
+            if not _finite(gi):
                 raise NumericError(f"{entry.op}: non-finite gradient")
             if key in grads:
                 # out of place: add's rule hands the same array to both operands
@@ -228,8 +236,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(ad, bd)
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        ga = np.matmul(g, bd.swapaxes(-1, -2))
+        gb = np.matmul(ad.swapaxes(-1, -2), g)
         return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
     return _record("matmul", out, (a, b), back)
@@ -282,14 +290,14 @@ def cosine(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not np.all(np.isfinite(x.data)):
+    if not _finite(x.data):
         raise NumericError("softmax: non-finite input")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def back(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
+        dot = np.add.reduce(g * out, axis=axis, keepdims=True)
         return ((g - dot) * out,)
 
     return _record("softmax", out, (x,), back)
@@ -331,20 +339,20 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out = np.reshape(x.data, shape)
+    out = x.data.reshape(shape)
     in_shape = x.shape
 
     def back(g):
-        return (np.reshape(g, in_shape),)
+        return (g.reshape(in_shape),)
 
     return _record("reshape", out, (x,), back)
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    out = np.swapaxes(x.data, a, b)
+    out = x.data.swapaxes(a, b)
 
     def back(g):
-        return (np.swapaxes(g, a, b),)
+        return (g.swapaxes(a, b),)
 
     return _record("swapaxes", out, (x,), back)
 
@@ -413,9 +421,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         raise ShapeError(
             f"layernorm affine shapes {gain.shape}/{bias.shape} do not match feature dim of {x.shape}"
         )
-    mu = np.mean(x.data, axis=-1, keepdims=True)
+    d = x.shape[-1]  # np.mean is add.reduce / d
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     gd = gain.data
@@ -426,8 +435,8 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         dgain = np.sum(g * xhat, axis=lead)
         dbias = np.sum(g, axis=lead)
         dxhat = g * gd
-        m1 = np.mean(dxhat, axis=-1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgain, dbias
 
@@ -561,7 +570,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     xd, wd, needs_dx = x.data, w.data, x.requires_grad
 
     def windows():  # [N, Cin, T_out, K]; the rule pads again rather than keep a padded copy
-        xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+        xpad = np.zeros((n, cin, t + 2 * pad), dtype=xd.dtype)
+        xpad[:, :, pad : pad + t] = xd
         return sliding_window_view(xpad, k, axis=2)[:, :, ::stride]
 
     win = windows()

@@ -85,6 +85,20 @@ def test_every_public_tensor_function_has_a_caller_in_the_package():
     assert sorted(public - called) == []
 
 
+def test_tensor_checks_finiteness_in_one_place():
+    # every output and gradient check goes through _finite, one elementwise
+    # isfinite reduction; np.all and np.pad cost a Python wrapper per call
+    tree = ast.parse((Path(lidsn.__file__).parent / "tensor.py").read_text())
+    calls = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                calls.append((getattr(top, "name", None), node.func.attr))
+    assert [c for c in calls if c[1] in ("all", "pad")] == []
+    assert {name for name, attr in calls if attr == "isfinite"} == {"_finite"}
+
+
 def test_every_config_field_is_read_outside_its_class():
     # a field that only its own checks and properties read is a knob with no
     # effect; a read is an attribute load or a keyword argument of that name

@@ -687,10 +687,18 @@ def test_tokenizer_blocks_equal_one_whole_batch_call(geometry):
     x = r.normal(0.0, 1.0, (10, cfg.n_channels, cfg.n_samples))
     for tokenize in (temporal_tokenize, spatial_tokenize):
         whole = tokenize(Tensor(x), model.params, cfg, False).data
-        for block in (1, 2, 3, 5, 7):
+        for block in (1, 2, 3, 5, 7, 12):
             parts = [tokenize(Tensor(x[lo : lo + block]), model.params, cfg, False).data
                      for lo in range(0, len(x), block)]
             assert np.array_equal(np.concatenate(parts), whole), (tokenize.__name__, block)
+
+
+@pytest.mark.parametrize("geometry, budgets", [((8, 512, 2), (4, 12)), ((22, 1000, 4), (2, 2))],
+                         ids=["8x512", "22x1000"])
+def test_each_tokenizer_blocks_by_its_own_widest_activation(geometry, budgets):
+    from lidsn import network
+
+    assert network.eval_block(ModelConfig(*geometry)) == budgets
 
 
 _EVAL_VARIANTS = [
@@ -710,27 +718,32 @@ def test_blocked_logits_equal_the_taped_forward(tiny_cfg, overrides, monkeypatch
 
     cfg = ModelConfig(**{**_cfg_dict(tiny_cfg), **overrides})
     model = Model.build(cfg, seed=6)
-    # a budget of three trials, so small batches cross block edges
-    width = max(cfg.embed_dim * cfg.n_samples,
-                cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
-    monkeypatch.setattr(network, "BLOCK_BYTES", 3 * width * 8)
-    assert network.eval_block(cfg) == 3
-    calls = []
-    traced = network.temporal_tokenize
-    monkeypatch.setattr(network, "temporal_tokenize",
-                        lambda x, *a: calls.append(x.shape[0]) or traced(x, *a))
+    # a budget of three trials for the wider tokenizer, so small batches
+    # cross block edges; each tokenizer's block comes from its own width
+    widths = (cfg.embed_dim * cfg.n_samples,
+              cfg.n_channels * cfg.spatial_maps * cfg.spatial_conv_len)
+    monkeypatch.setattr(network, "BLOCK_BYTES", 3 * max(widths) * 8)
+    budgets = network.eval_block(cfg)
+    assert min(budgets) == 3 and budgets == tuple(3 * max(widths) // w for w in widths)
+    calls = {"temporal_tokenize": [], "spatial_tokenize": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(network, name, lambda x, *a, seen=seen, traced=getattr(network, name):
+                            seen.append(x.shape[0]) or traced(x, *a))
     x_all = RngStream(43, 215).normal(0.0, 1.0, (network.EVAL_CHUNK + 1, cfg.n_channels,
                                                  cfg.n_samples))
     for b in (1, 2, 3, 4, network.EVAL_CHUNK + 1):
         x = x_all[:b]
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         blocked = model.logits_np(x)
-        assert max(calls) <= 3 and sum(calls) == b
+        for seen, budget in zip(calls.values(), budgets):
+            assert max(seen) <= budget and sum(seen) == b
         # the layers' batch width can move the last bits (a one-trial chunk
         # does), so the taped reference runs the same EVAL_CHUNK chunks
         chunks = [x[lo : lo + network.EVAL_CHUNK] for lo in range(0, b, network.EVAL_CHUNK)]
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         with tz.Tape():
             taped = np.concatenate([model.forward(chunk).data for chunk in chunks])
-        assert calls == [len(chunk) for chunk in chunks]
+        assert all(seen == [len(chunk) for chunk in chunks] for seen in calls.values())
         assert np.array_equal(blocked, taped), b

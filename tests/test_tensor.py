@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from lidsn import tensor as tz
@@ -571,6 +572,13 @@ def test_overflow_from_finite_inputs_is_named():
         tz.mul(Tensor(np.array([1e200])), Tensor(np.array([1e200])))
 
 
+def test_outputs_near_overflow_pass_the_finiteness_check():
+    # a sum of these finite outputs overflows: the check must never sum them
+    big = np.array([1e308, 1e308])
+    assert np.array_equal(tz.add(Tensor(big), Tensor(np.zeros(2))).data, big)
+    assert np.array_equal(tz.softmax(Tensor(big)).data, [0.5, 0.5])
+
+
 def test_softmax_rejects_nonfinite_input():
     with pytest.raises(NumericError):
         tz.softmax(Tensor(np.array([1.0, np.nan])))
@@ -624,6 +632,36 @@ def test_concat_of_one_tensor_is_that_tensor_and_records_nothing():
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+@st.composite
+def _float_arrays(draw):
+    """Finite float32/float64 arrays in several layouts, maybe with one NaN or inf."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    width = np.dtype(dtype).itemsize * 8
+    base = draw(hnp.arrays(dtype, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False, width=width)))
+    plant = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if plant is not None and base.size:
+        base.reshape(-1)[draw(st.integers(0, base.size - 1))] = plant
+    layout = draw(st.sampled_from(["contiguous", "transposed", "sliced", "broadcast"]))
+    if layout == "transposed":
+        return base.T
+    if layout == "sliced":
+        return base[..., ::2] if base.ndim else base[()]
+    if layout == "broadcast":
+        return np.broadcast_to(base, (2, *base.shape))
+    return base
+
+
+@given(a=_float_arrays())
+@example(a=np.array([1e308, 1e308]))  # each a sum-based check fails
+@example(a=np.array([3e38, 3e38], dtype=np.float32))
+@example(a=np.array([np.inf, -np.inf]))
+@settings(max_examples=200, deadline=None)
+def test_finite_is_the_elementwise_predicate(a):
+    assert tz._finite(a) == np.isfinite(a).all()
 
 
 @given(rows=st.integers(1, 6), cols=st.integers(2, 8), seed=st.integers(0, 10_000))
