@@ -35,7 +35,7 @@ from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .gradcheck import battery
 from .network import Model, saliency
 from .params import count_params_flops, load_snapshot, save_snapshot
-from .training import TrainConfig, check_seeds, evaluate_model, run_protocol
+from .training import SEED_LIMIT, TrainConfig, check_seeds, evaluate_model, run_protocol
 from .viz import format_cell, matrix_csv, save_heatmap, write_csv
 
 _VIZ_STEMS = {"affinity": "sacm", "attention": "tcam", "importance": "omega"}
@@ -257,8 +257,8 @@ def cmd_export_viz(args) -> int:
 
 
 def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be >= 0 and < 2**64, got {seed}")
 
 
 def cmd_synth(args) -> int:

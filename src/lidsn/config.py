@@ -33,10 +33,8 @@ class ModelConfig:
     ffn_expansion: int = 4
     kernel_len: int = 25
     pool_window: int = 50
-    pool_stride: int = 50
     spatial_conv_stride: int = 10
     spatial_pool_window: int = 10
-    spatial_pool_stride: int = 10
     integration_mode: str = "st2t"
     fusion_mode: str = "adaptive"
     use_positional_embedding: bool = True
@@ -54,7 +52,7 @@ class ModelConfig:
     @property
     def n_patches(self) -> int:
         """Temporal token count P."""
-        return (self.n_samples - self.pool_window) // self.pool_stride + 1
+        return self.n_samples // self.pool_window
 
     @property
     def spatial_conv_len(self) -> int:
@@ -64,7 +62,7 @@ class ModelConfig:
     @property
     def spatial_patches(self) -> int:
         """Pooled sub-window count inside the spatial tokenizer."""
-        return (self.spatial_conv_len - self.spatial_pool_window) // self.spatial_pool_stride + 1
+        return self.spatial_conv_len // self.spatial_pool_window
 
     @property
     def fusion_width(self) -> int:
@@ -81,8 +79,8 @@ class ModelConfig:
                 f"{self.n_channels}/{self.n_samples}/{self.n_classes}"
             )
         for name in ("n_heads", "spatial_maps", "temporal_depth", "ffn_expansion",
-                     "classifier_hidden", "pool_window", "pool_stride", "spatial_conv_stride",
-                     "spatial_pool_window", "spatial_pool_stride"):
+                     "classifier_hidden", "pool_window", "spatial_conv_stride",
+                     "spatial_pool_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim < 1 or self.embed_dim % self.n_heads != 0:

@@ -27,6 +27,7 @@ from .errors import ConfigError, DataFormatError, NumericError
 EEGB_MAGIC = b"EEGB"
 EEGB_VERSION = 1
 _HEADER = struct.Struct("<4sHIHIfH")
+_SAVE_CHUNK_BYTES = 1 << 20  # float32 payload converted and written per step
 
 # relative PSD bands in Hz, endpoints inclusive
 DEFAULT_BANDS = ((1.0, 3.0), (4.0, 8.0), (8.0, 12.0), (12.0, 16.0),
@@ -95,7 +96,9 @@ def save_epochs(path, epochs: EpochSet) -> None:
                               epochs.n_samples, epochs.fs, epochs.n_classes))
         fh.write(epochs.labels.astype("<u2"))
         fh.write(epochs.subjects.astype("<u2"))
-        fh.write(np.ascontiguousarray(epochs.data, dtype="<f4"))
+        step = max(1, _SAVE_CHUNK_BYTES // max(1, 4 * epochs.n_channels * epochs.n_samples))
+        for i in range(0, epochs.n_trials, step):
+            fh.write(np.ascontiguousarray(epochs.data[i : i + step], dtype="<f4"))
 
 
 def load_epochs(path) -> EpochSet:

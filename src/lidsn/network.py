@@ -40,7 +40,7 @@ def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: b
         y, params["temporal_tokenizer.depthwise.weight"], params["temporal_tokenizer.depthwise.bias"]
     )
     y = tz.gelu(y)
-    y = tz.avgpool1d(y, cfg.pool_window, cfg.pool_stride)
+    y = tz.avgpool1d(y, cfg.pool_window)
     return tz.swapaxes(y, 1, 2)
 
 
@@ -66,7 +66,7 @@ def spatial_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bo
         params.states["spatial_tokenizer.norm"],
         training,
     )
-    y = tz.avgpool1d(y, cfg.spatial_pool_window, cfg.spatial_pool_stride)
+    y = tz.avgpool1d(y, cfg.spatial_pool_window)
     y = tz.reshape(y, (b, c, cfg.spatial_maps * cfg.spatial_patches))
     return tz.matmul(y, params["spatial_tokenizer.proj.weight"])
 

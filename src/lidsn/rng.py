@@ -18,7 +18,8 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise ValueError("seed and stream must be non-negative")
-        self._gen = np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
+        # a uint64 key is exact up to 2**64; a list of ints above 2**63 goes through float64
+        self._gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
 
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)

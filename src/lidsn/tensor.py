@@ -531,11 +531,7 @@ def batchnorm(
 
 
 def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Adjoint of a strided window view: out[..., p * stride + j] sums gwin[..., p, j].
-
-    One add per block of `stride` consecutive taps (a block hits each output
-    once), so every output still sums its taps in ascending order.
-    """
+    """Adjoint of conv1d's window view: out[..., p * stride + j] sums gwin[..., p, j] in tap order."""
     *lead, p, k = gwin.shape
     n_blocks = -(-k // stride)
     out = np.zeros((*lead, p + n_blocks, stride), dtype=gwin.dtype)
@@ -691,19 +687,19 @@ def conv1d_depthwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("conv1d_depthwise", out, (x, w, b), back)
 
 
-def avgpool1d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Average pooling along the last axis."""
+def avgpool1d(x: Tensor, window: int) -> Tensor:
+    """Average pooling over consecutive windows of the last axis; a shorter tail is dropped."""
     t = x.shape[-1]
-    if window < 1 or stride < 1:
-        raise ShapeError(f"avgpool1d window/stride must be >= 1, got {window}/{stride}")
+    if window < 1:
+        raise ShapeError(f"avgpool1d window must be >= 1, got {window}")
     if window > t:
         raise ShapeError(f"avgpool1d window {window} exceeds input length {t}")
-    p = (t - window) // stride + 1
-    hi = stride * (p - 1) + 1
-    out = sliding_window_view(x.data, window, axis=-1)[..., :hi:stride, :].sum(-1) / window
+    shape, p = x.shape, t // window
+    out = x.data[..., : p * window].reshape(*shape[:-1], p, window).sum(-1) / window
 
-    def back(g):
-        gwin = np.broadcast_to((g / window)[..., None], (*g.shape, window))
-        return (_window_adjoint(gwin, stride, t),)
+    def back(g):  # added into zeros, so a -0.0 in g leaves +0.0 in dx
+        dx = np.zeros(shape, dtype=g.dtype)
+        dx[..., : p * window] += np.repeat(g / window, window, axis=-1)
+        return (dx,)
 
     return _record("avgpool1d", out, (x,), back)

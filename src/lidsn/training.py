@@ -18,6 +18,7 @@ from .tensor import Tape, Tensor, _record, backward
 
 SHUFFLE_STREAM = 1
 DROPOUT_STREAM = 2
+SEED_LIMIT = 2**64  # Philox keys a stream with one 64-bit word for the seed
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
 ADAM_EPS = 1e-8
@@ -279,14 +280,14 @@ def validation_tail(train_idx: np.ndarray, subjects: np.ndarray,
     """Carve a validation tail from each subject's training trials.
 
     Each subject contributes its last max(1, floor(fraction * n)) training
-    trials when it has at least two; single-trial subjects contribute none.
+    trials when it has at least two and fraction is not 0, else none.
     Returns (fit_idx, val_idx) partitioning train_idx.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_parts = []
     for s in np.unique(subjects[train_idx]):
         rows = train_idx[subjects[train_idx] == s]
-        if rows.size < 2:
+        if rows.size < 2 or fraction == 0:
             continue
         n_val = max(1, int(np.floor(fraction * rows.size)))
         val_parts.append(rows[rows.size - n_val :])
@@ -325,9 +326,9 @@ def thread_budget() -> int:
 
 
 def check_seeds(seeds: tuple[int, ...]) -> None:
-    """Job seeds: at least one, each >= 0."""
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"seeds must be non-empty and >= 0, got {list(seeds)}")
+    """Job seeds: at least one, each in [0, SEED_LIMIT)."""
+    if not seeds or not all(0 <= s < SEED_LIMIT for s in seeds):
+        raise ConfigError(f"seeds must be non-empty and >= 0 and < 2**64, got {list(seeds)}")
 
 
 def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,

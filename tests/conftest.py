@@ -47,8 +47,8 @@ def tiny_cfg():
     return ModelConfig(
         n_channels=3, n_samples=40, n_classes=2, embed_dim=8, spatial_maps=2,
         n_heads=2, temporal_depth=2, spatial_depth=1, dropout=0.0, ffn_expansion=2,
-        kernel_len=5, pool_window=10, pool_stride=10, spatial_conv_stride=4,
-        spatial_pool_window=5, spatial_pool_stride=5, classifier_hidden=8,
+        kernel_len=5, pool_window=10, spatial_conv_stride=4,
+        spatial_pool_window=5, classifier_hidden=8,
     )
 
 

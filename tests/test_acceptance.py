@@ -61,10 +61,10 @@ from lidsn.training import (
 def random_tiny_config(i: int) -> ModelConfig:
     """Deterministic menu of varied but valid tiny geometries."""
     geo = [
-        dict(n_samples=24, pool_window=6, pool_stride=6, spatial_conv_stride=3,
-             spatial_pool_window=2, spatial_pool_stride=2, kernel_len=3),
-        dict(n_samples=40, pool_window=10, pool_stride=10, spatial_conv_stride=4,
-             spatial_pool_window=5, spatial_pool_stride=5, kernel_len=5),
+        dict(n_samples=24, pool_window=6, spatial_conv_stride=3,
+             spatial_pool_window=2, kernel_len=3),
+        dict(n_samples=40, pool_window=10, spatial_conv_stride=4,
+             spatial_pool_window=5, kernel_len=5),
     ][i % 2]
     mode = ("st2t", "st2s", "bidir", "none")[i % 4]
     return ModelConfig(
@@ -366,8 +366,7 @@ def test_criterion_8_training_determinism(tmp_path):
                "model": {"embed_dim": 8, "spatial_maps": 2, "n_heads": 2,
                          "temporal_depth": 2, "spatial_depth": 1, "dropout": 0.25,
                          "ffn_expansion": 2, "kernel_len": 5, "pool_window": 10,
-                         "pool_stride": 10, "spatial_conv_stride": 4,
-                         "spatial_pool_window": 5, "spatial_pool_stride": 5,
+                         "spatial_conv_stride": 4, "spatial_pool_window": 5,
                          "classifier_hidden": 8}}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

@@ -11,6 +11,7 @@ import pytest
 from lidsn import cli
 from lidsn.cli import build_parser, canonical_json, main
 from lidsn.data import load_epochs
+from lidsn.errors import ConfigError
 from lidsn.gradcheck import primitive_cases
 
 SYNTH_SPEC = {
@@ -32,8 +33,8 @@ RUN_CONFIG = {
     "model": {
         "embed_dim": 8, "spatial_maps": 2, "n_heads": 2, "temporal_depth": 2,
         "spatial_depth": 1, "dropout": 0.0, "ffn_expansion": 2, "kernel_len": 5,
-        "pool_window": 10, "pool_stride": 10, "spatial_conv_stride": 4,
-        "spatial_pool_window": 5, "spatial_pool_stride": 5, "classifier_hidden": 8,
+        "pool_window": 10, "spatial_conv_stride": 4,
+        "spatial_pool_window": 5, "classifier_hidden": 8,
     },
 }
 
@@ -319,12 +320,18 @@ BAD_CONFIGS = {
     "n_heads_negative": ("train", _model(embed_dim=40, n_heads=-4), "n_heads"),
     "spatial_maps_zero": ("train", _model(spatial_maps=0), "spatial_maps"),
     "seeds_negative": ("train", dict(RUN_CONFIG, seeds=[-1]), "seeds"),
+    # Philox keys a stream by a 64-bit seed word
+    "seeds_2_64": ("train", dict(RUN_CONFIG, seeds=[0, 2**64]), "seeds"),
     # job seeds come only from "seeds"; removed knobs fail as unknown keys
     "train_seed": ("train", _train(seed=5), "train.seed"),
     "bn_eps_removed": ("train", _model(bn_eps=-1.0), "model.bn_eps"),
     "beta2_removed": ("train", _train(beta2=0.95), "train.beta2"),
     "class_weight_mode_removed": ("train", _train(class_weight_mode="inverse"),
                                   "train.class_weight_mode"),
+    # pools tile their input, so each stride is its window
+    "pool_stride_removed": ("train", _model(pool_stride=10), "model.pool_stride"),
+    "spatial_pool_stride_removed": ("train", _model(spatial_pool_stride=5),
+                                    "model.spatial_pool_stride"),
     "fusion_width_zero_train": ("train", _model(embed_dim=1, n_heads=1), "fusion"),
     "fusion_width_zero_count": ("count", {"model": {"embed_dim": 1, "n_heads": 1}}, "fusion"),
     # checked even with "features" false, where the feature stage never runs
@@ -364,6 +371,8 @@ def test_bad_config_names_the_key(work, capsys, case):
 BAD_FLAGS = {
     "synth_seed_negative": (["synth", "--out", "{root}/x.eegb", "--seed", "-1"], "--seed"),
     "grad_check_seed_negative": (["grad-check", "--seed", "-1"], "--seed"),
+    "synth_seed_2_64": (["synth", "--out", "{root}/x.eegb", "--seed", str(2**64)], "--seed"),
+    "grad_check_seed_2_64": (["grad-check", "--seed", str(2**64)], "--seed"),
     "grad_check_max_coords_zero": (["grad-check", "--max-coords", "0"], "--max-coords"),
     "split_n_folds_zero": (["split", "--data", "{data}", "--protocol", "CV", "--n-folds", "0"],
                            "n_folds"),
@@ -438,6 +447,38 @@ def test_docs_name_exactly_the_cli_subcommands():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert {name.strip() for name in listed.split(",")} == set(sub.choices)
     assert set(re.findall(r"^lidsn ([\w-]+)", readme, re.M)) == set(sub.choices)
+
+
+def test_docs_removed_config_keys_are_unknown_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"removed keys (.*?) fails as an unknown key", readme, re.S).group(1)
+    keys = re.findall(r"`(\w+\.\w+)`", listed)
+    assert "model.bn_eps" in keys
+    for key in keys:
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
+            cli.resolve_run_config({section: {name: 1}}, 3, 40, 2)
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--out", "{root}/max-seed.eegb", "--config", "{root}/spec.json"],
+    ["grad-check", "--max-coords", "1"],
+])
+def test_largest_seed_is_accepted(work, command):
+    argv = [a.format(root=work["root"]) for a in command]
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+
+
+def test_zero_val_fraction_holds_out_nothing(work):
+    cfg = work["root"] / "no-val.json"
+    cfg.write_text(json.dumps(_train(val_fraction=0)))
+    out = work["root"] / "no-val"
+    assert main(["train", "--data", str(work["data"]), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_train"] == 16 and report["n_val"] == 0
+    assert report["best_val_loss"] is None
+    assert report["epochs_run"] == report["best_epoch"] == 2
 
 
 def test_usage_error_exits_1(capsys):

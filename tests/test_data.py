@@ -1,6 +1,7 @@
 """Epoch container, binary format, synthesis, alignment, features, splits."""
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,35 @@ def test_save_writes_header_labels_subjects_payload(tmp_path):
             + struct.pack("<2H", 1, 0) + struct.pack("<2H", 3, 5)
             + struct.pack("<12f", *data.ravel()))
     assert path.read_bytes() == want
+
+
+def _long_set():
+    """67 trials of 8 x 4096 samples: an 8.4 MiB float32 payload, written in
+    several chunks with a short last one."""
+    data = np.random.default_rng(5).standard_normal((67, 8, 4096))
+    return EpochSet(data, np.arange(67) % 2, np.arange(67) // 30, 256.0, 2)
+
+
+def test_chunked_save_writes_the_one_shot_bytes(tmp_path):
+    e = _long_set()
+    path = tmp_path / "long.eegb"
+    save_epochs(path, e)
+    want = (HEADER.pack(b"EEGB", 1, 67, 8, 4096, 256.0, 2)
+            + e.labels.astype("<u2").tobytes() + e.subjects.astype("<u2").tobytes()
+            + e.data.astype("<f4").tobytes())
+    assert path.read_bytes() == want
+
+
+def test_save_peaks_well_under_the_payload(tmp_path):
+    e = _long_set()
+    payload = e.data.size * 4
+    tracemalloc.start()
+    try:
+        save_epochs(tmp_path / "long.eegb", e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 4, peak / payload
 
 
 def test_load_hand_built_file(tmp_path):

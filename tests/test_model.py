@@ -90,7 +90,7 @@ def oracle_temporal(x, vals, cfg):
     y = np.stack([np_conv_same(y[d], w_dw[d], 1) for d in range(cfg.embed_dim)])
     y = y + vals["temporal_tokenizer.depthwise.bias"][:, None]
     y = np_gelu(y)
-    y = np_avgpool(y, cfg.pool_window, cfg.pool_stride)
+    y = np_avgpool(y, cfg.pool_window, cfg.pool_window)
     return y.T
 
 
@@ -107,7 +107,7 @@ def oracle_spatial(x, vals, cfg):
                           vals["spatial_tokenizer.norm.bias"],
                           vals["spatial_tokenizer.norm.running_mean"],
                           vals["spatial_tokenizer.norm.running_var"], NORM_EPS)[0]
-        maps = np_avgpool(maps, cfg.spatial_pool_window, cfg.spatial_pool_stride)
+        maps = np_avgpool(maps, cfg.spatial_pool_window, cfg.spatial_pool_window)
         rows.append(maps.reshape(-1))
     return np.stack(rows) @ vals["spatial_tokenizer.proj.weight"]
 
@@ -660,8 +660,8 @@ def test_forward_finite_for_random_small_configs(mode, heads, seed):
     cfg = ModelConfig(
         n_channels=2, n_samples=24, n_classes=2, embed_dim=4, spatial_maps=2,
         n_heads=heads, temporal_depth=1, spatial_depth=1, dropout=0.0,
-        ffn_expansion=2, kernel_len=3, pool_window=6, pool_stride=6,
-        spatial_conv_stride=3, spatial_pool_window=2, spatial_pool_stride=2,
+        ffn_expansion=2, kernel_len=3, pool_window=6,
+        spatial_conv_stride=3, spatial_pool_window=2,
         integration_mode=mode, classifier_hidden=4,
     )
     model = Model.build(cfg, seed=seed)

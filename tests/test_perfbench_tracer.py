@@ -37,7 +37,7 @@ def _lidsn_bindings() -> dict:
 
 
 def test_tracer_metrics_cover_the_benchmark_and_uninstall_cleanly(tiny_cfg):
-    cfg = replace(tiny_cfg, n_samples=400, pool_window=40, pool_stride=40)
+    cfg = replace(tiny_cfg, n_samples=400, pool_window=40)
     block = max(network.eval_block(cfg))  # one trial more, so both tokenizers split
     r = RngStream(3, 218)
     x = r.normal(0.0, 1.0, (block + 1, cfg.n_channels, cfg.n_samples))

@@ -25,6 +25,16 @@ def test_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
+def test_seeds_above_2_63_keep_their_own_stream():
+    # a key list of Python ints went through float64 above 2**63: neighbours
+    # collided, and seeds within 1024 of 2**64 fell back to seed 0's key
+    def draw(seed):
+        return RngStream(seed, 0).uniform(0.0, 1.0, 8)
+
+    assert not np.array_equal(draw(2**64 - 1), draw(0))
+    assert not np.array_equal(draw(2**63), draw(2**63 + 1))
+
+
 def test_known_values_stable_across_platforms():
     # Philox is counter-based; these values must never change
     got = RngStream(0, 0).uniform(0.0, 1.0, 3)

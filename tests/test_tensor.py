@@ -157,9 +157,9 @@ def test_conv1d_pointwise_forward_oracle():
 
 def test_avgpool1d_forward_oracle():
     x = rnd(2, 3, 10, seed=20)
-    expected = naive_avgpool(x, 4, 3)
-    out = tz.avgpool1d(Tensor(x), 4, 3)
-    assert out.shape == (2, 3, 3)
+    expected = naive_avgpool(x, 4, 4)
+    out = tz.avgpool1d(Tensor(x), 4)
+    assert out.shape == (2, 3, 2)
     assert np.allclose(out.data, expected, atol=1e-14)
 
 
@@ -268,7 +268,7 @@ def weighted_sum(y: Tensor) -> Tensor:
     "add", "mul", "scale", "matmul", "gelu", "cosine", "softmax",
     "l2norm", "layernorm", "reduce_sum", "reduce_mean", "reshape", "swapaxes",
     "concat", "select", "avgpool", "conv1d", "conv_pointwise", "conv_depthwise",
-    "conv1d_tokenizer", "conv_depthwise_long_kernel", "avgpool_tiled", "avgpool_overlap",
+    "conv1d_tokenizer", "conv_depthwise_long_kernel", "avgpool_tiled", "avgpool_tail",
 ])
 def test_primitive_gradients(name):
     r = RngStream(41, 50)
@@ -299,7 +299,7 @@ def test_primitive_gradients(name):
         "concat": (lambda ts: tz.reduce_sum(tz.mul(tz.concat([ts[0], ts[1]], -1), ts[2])),
                    [t(2, 3), t(2, 2), t(2, 5)]),
         "select": (lambda ts: tz.select(ts[0], (1, 2)), [t(2, 4)]),
-        "avgpool": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 3, 2)), [t(2, 2, 9)]),
+        "avgpool": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 3)), [t(2, 2, 9)]),
         "conv1d": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=3)),
                    [t(2, 3, 11), t(2, 3, 5), t(2)]),
         "conv_pointwise": (lambda ts: weighted_sum(tz.conv1d_pointwise(ts[0], ts[1], ts[2])),
@@ -307,14 +307,14 @@ def test_primitive_gradients(name):
         "conv_depthwise": (lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
                            [t(2, 4, 7), t(4, 3), t(4)]),
         # tokenizer shapes: one input channel at a wide stride, a kernel longer
-        # than the input it slides over (K > T), tiled and overlapping pools
+        # than the input it slides over (K > T), pools that drop a tail
         "conv1d_tokenizer": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=4)),
                              [t(3, 1, 19), t(2, 1, 7), t(2)]),
         "conv_depthwise_long_kernel": (
             lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
             [t(1, 3, 4), t(3, 7), t(3)]),
-        "avgpool_tiled": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 4, 4)), [t(2, 3, 13)]),
-        "avgpool_overlap": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 5, 2)), [t(3, 12)]),
+        "avgpool_tiled": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 4)), [t(2, 3, 13)]),
+        "avgpool_tail": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 5)), [t(3, 12)]),
     }
     fn, inputs = cases[name]
     assert grad_check(fn, inputs) < 1e-6
@@ -501,7 +501,7 @@ def test_tape_keeps_no_array_its_rules_do_not_read():
         with Tape() as tape:
             y = x
             for _ in range(10):
-                y = tz.avgpool1d(tz.add(tz.reshape(y, (128, 1024)), x), 1, 1)
+                y = tz.avgpool1d(tz.add(tz.reshape(y, (128, 1024)), x), 1)
             held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -704,7 +704,7 @@ def test_broadcast_add_gradient_shapes(a_shape, seed):
 @settings(max_examples=25, deadline=None)
 def test_avgpool_preserves_mean_when_exact_cover(seed):
     x = RngStream(seed, 63).normal(0.0, 1.0, (2, 3, 12))
-    out = tz.avgpool1d(Tensor(x), 4, 4).data
+    out = tz.avgpool1d(Tensor(x), 4).data
     assert np.allclose(out.mean(-1), x.mean(-1), atol=1e-12)
 
 
@@ -731,13 +731,12 @@ def test_window_kernels_match_loop_oracles(n, cin, cout, t, half_k, stride_extra
     out = tz.conv1d_depthwise(Tensor(x), Tensor(wd), Tensor(np.zeros(cin))).data
     assert np.allclose(out, naive_depthwise(x, wd), rtol=0, atol=1e-12)
     window = 1 + stride_extra % t
-    pool_stride = 1 + seed % (window + 2)
-    out = tz.avgpool1d(Tensor(x), window, pool_stride).data
-    assert np.allclose(out, naive_avgpool(x, window, pool_stride), rtol=0, atol=1e-12)
+    out = tz.avgpool1d(Tensor(x), window).data
+    assert np.allclose(out, naive_avgpool(x, window, window), rtol=0, atol=1e-12)
     g = r.normal(0.0, 1.0, out.shape)
-    dx = input_grad(lambda xt: tz.avgpool1d(xt, window, pool_stride), x, g)
+    dx = input_grad(lambda xt: tz.avgpool1d(xt, window), x, g)
     gwin = np.broadcast_to((g / window)[..., None], g.shape + (window,))
-    assert np.array_equal(dx, tap_loop_adjoint(gwin, pool_stride, t))
+    assert np.array_equal(dx, tap_loop_adjoint(gwin, window, t))
 
 
 @given(
@@ -796,7 +795,7 @@ def _float32_cases():
                            [t(3, 4, 20), t(5, 4), t(5)]),
         "conv_depthwise": (lambda ts: tz.conv1d_depthwise(ts[0], ts[1], ts[2]),
                            [t(3, 4, 20), t(4, 9), t(4)]),
-        "avgpool": (lambda ts: tz.avgpool1d(ts[0], 5, 5), [t(3, 4, 20)]),
+        "avgpool": (lambda ts: tz.avgpool1d(ts[0], 5), [t(3, 4, 20)]),
         "batchnorm": (lambda ts: tz.batchnorm(ts[0], ts[1], ts[2], BatchNormState(4, np.float32),
                                               True),
                       [t(3, 4, 20), t(4), t(4)]),
