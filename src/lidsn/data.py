@@ -8,6 +8,8 @@ The on-disk format (EEGB v1, little-endian) is:
     f32 data[trial][channel][sample]
 
 Every sample must be finite; a file holding NaN or infinity does not load.
+The payload is streamed: save and load convert it in ~1 MiB chunks, so a file
+is never held whole in memory beside its float64 data.
 
 In memory data is float64; files store float32. Generated sets are rounded
 through float32 so save/load round-trips are bit-exact; aligned sets keep full
@@ -15,6 +17,8 @@ f64 precision because their covariance post-condition is tighter than f32.
 """
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,7 +31,7 @@ from .errors import ConfigError, DataFormatError, NumericError
 EEGB_MAGIC = b"EEGB"
 EEGB_VERSION = 1
 _HEADER = struct.Struct("<4sHIHIfH")
-_SAVE_CHUNK_BYTES = 1 << 20  # float32 payload converted and written per step
+_CHUNK_BYTES = 1 << 20  # float32 payload converted per step on save and load
 
 # relative PSD bands in Hz, endpoints inclusive
 DEFAULT_BANDS = ((1.0, 3.0), (4.0, 8.0), (8.0, 12.0), (12.0, 16.0),
@@ -96,45 +100,53 @@ def save_epochs(path, epochs: EpochSet) -> None:
                               epochs.n_samples, epochs.fs, epochs.n_classes))
         fh.write(epochs.labels.astype("<u2"))
         fh.write(epochs.subjects.astype("<u2"))
-        step = max(1, _SAVE_CHUNK_BYTES // max(1, 4 * epochs.n_channels * epochs.n_samples))
+        step = max(1, _CHUNK_BYTES // max(1, 4 * epochs.n_channels * epochs.n_samples))
         for i in range(0, epochs.n_trials, step):
             fh.write(np.ascontiguousarray(epochs.data[i : i + step], dtype="<f4"))
 
 
 def load_epochs(path) -> EpochSet:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise DataFormatError("truncated_header", f"file has {len(blob)} bytes, header needs {_HEADER.size}")
-    magic, version, n_trials, n_channels, n_samples, fs, n_classes = _HEADER.unpack_from(blob, 0)
-    if magic != EEGB_MAGIC:
-        raise DataFormatError("bad_magic", f"bad magic {magic!r}, expected {EEGB_MAGIC!r}")
-    if version != EEGB_VERSION:
-        raise DataFormatError("bad_version", f"unsupported format version {version}")
-    if n_channels == 0 or n_samples == 0 or n_classes == 0 or not (fs > 0):
-        raise DataFormatError(
-            "bad_field",
-            f"invalid header fields: n_channels={n_channels} n_samples={n_samples} "
-            f"n_classes={n_classes} fs={fs}",
-        )
-    off = _HEADER.size
-    need = n_trials * 2 * 2 + n_trials * n_channels * n_samples * 4
-    if len(blob) - off < need:
-        raise DataFormatError(
-            "truncated_payload",
-            f"payload has {len(blob) - off} bytes, expected {need}",
-        )
-    if len(blob) - off > need:
-        raise DataFormatError("trailing_data", f"{len(blob) - off - need} trailing bytes")
-    labels = np.frombuffer(blob, dtype="<u2", count=n_trials, offset=off).astype(np.int64)
-    off += n_trials * 2
-    subjects = np.frombuffer(blob, dtype="<u2", count=n_trials, offset=off).astype(np.int64)
-    off += n_trials * 2
-    data = np.frombuffer(blob, dtype="<f4", count=n_trials * n_channels * n_samples, offset=off)
-    if not np.isfinite(data).all():
-        bad = int(np.count_nonzero(~np.isfinite(data)))
+        if not fh.seekable():  # a pipe: its size is known only once it is read
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise DataFormatError("truncated_header",
+                                  f"file has {len(head)} bytes, header needs {_HEADER.size}")
+        magic, version, n_trials, n_channels, n_samples, fs, n_classes = _HEADER.unpack(head)
+        if magic != EEGB_MAGIC:
+            raise DataFormatError("bad_magic", f"bad magic {magic!r}, expected {EEGB_MAGIC!r}")
+        if version != EEGB_VERSION:
+            raise DataFormatError("bad_version", f"unsupported format version {version}")
+        if n_channels == 0 or n_samples == 0 or n_classes == 0 or not (fs > 0):
+            raise DataFormatError(
+                "bad_field",
+                f"invalid header fields: n_channels={n_channels} n_samples={n_samples} "
+                f"n_classes={n_classes} fs={fs}",
+            )
+        have = size - _HEADER.size
+        need = n_trials * 2 * 2 + n_trials * n_channels * n_samples * 4
+        if have < need:
+            raise DataFormatError("truncated_payload", f"payload has {have} bytes, expected {need}")
+        if have > need:
+            raise DataFormatError("trailing_data", f"{have - need} trailing bytes")
+        labels = np.frombuffer(fh.read(n_trials * 2), dtype="<u2").astype(np.int64)
+        subjects = np.frombuffer(fh.read(n_trials * 2), dtype="<u2").astype(np.int64)
+        data = np.empty((n_trials, n_channels, n_samples))
+        flat = data.reshape(-1)
+        buf = np.empty(_CHUNK_BYTES // 4, dtype="<f4")
+        finite = np.empty(buf.size, dtype=bool)
+        bad = 0
+        for i in range(0, flat.size, buf.size):
+            part = buf[: flat.size - i]
+            if fh.readinto(part) != part.nbytes:  # the file shrank after its size was read
+                raise DataFormatError("truncated_payload", f"payload ends before {need} bytes")
+            bad += part.size - np.count_nonzero(np.isfinite(part, out=finite[: part.size]))
+            flat[i : i + part.size] = part
+    if bad:
         raise DataFormatError("non_finite", f"payload has {bad} non-finite samples")
-    data = data.astype(np.float64).reshape(n_trials, n_channels, n_samples)
     return EpochSet(data, labels, subjects, float(fs), int(n_classes))
 
 
@@ -235,11 +247,10 @@ def synth_generate(spec: SynthSpec, seed: int) -> EpochSet:
             )
             for ch in recipe.channels:
                 trial_data[ch] += carrier
-            data[row] = trial_data
+            data[row] = trial_data.astype(np.float32)
             labels[row] = k
             subjects[row] = subj
             row += 1
-    data = data.astype(np.float32).astype(np.float64)
     if not np.isfinite(data).all():
         raise ConfigError("synthetic samples overflow float32: lower pink_exponent or the "
                           "class amplitude")
@@ -257,22 +268,21 @@ def euclidean_align(epochs: EpochSet, fit_indices: np.ndarray | None = None) -> 
     rows of fit_indices, defaulting to all of its trials; subjects with no fit
     trials fall back to all of theirs), then every trial becomes R^{-1/2} X_i.
     The recomputed mean covariance of the aligned fit trials is the identity.
+    Both matmuls are batched over all trials, so no subject's trials are copied.
     """
     if epochs.n_trials == 0:
         raise ConfigError("cannot align an empty epoch set")
     fit_mask = np.full(epochs.n_trials, fit_indices is None)
     if fit_indices is not None:
         fit_mask[np.asarray(fit_indices, dtype=np.int64)] = True
-    # every row belongs to some subject, so every row of the output is written
-    aligned = np.empty_like(epochs.data)
-    t = epochs.n_samples
-    for subj in np.unique(epochs.subjects):
-        idx = np.where(epochs.subjects == subj)[0]
-        fit = idx[fit_mask[idx]]
-        if fit.size == 0:
-            fit = idx
-        x = epochs.data[fit]
-        r = (x @ x.transpose(0, 2, 1)).sum(axis=0) / (fit.size * t)
+    x = np.ascontiguousarray(epochs.data)
+    covs = x @ x.transpose(0, 2, 1)
+    subject_ids, pos = np.unique(epochs.subjects, return_inverse=True)
+    inv_sqrt = np.empty((subject_ids.size, epochs.n_channels, epochs.n_channels))
+    for k, subj in enumerate(subject_ids):
+        idx = np.flatnonzero(pos == k)
+        fit = idx[fit_mask[idx]] if fit_mask[idx].any() else idx
+        r = covs[fit].sum(axis=0) / (fit.size * epochs.n_samples)
         r = 0.5 * (r + r.T)
         vals, vecs = np.linalg.eigh(r)
         if vals.min() <= 0:
@@ -280,9 +290,8 @@ def euclidean_align(epochs: EpochSet, fit_indices: np.ndarray | None = None) -> 
             vals, vecs = np.linalg.eigh(r)
             if vals.min() <= 0:
                 raise NumericError(f"subject {subj}: mean covariance is not positive definite")
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        aligned[idx] = np.matmul(inv_sqrt, epochs.data[idx])
-    return EpochSet(aligned, epochs.labels.copy(), epochs.subjects.copy(), epochs.fs,
+        inv_sqrt[k] = (vecs / np.sqrt(vals)) @ vecs.T
+    return EpochSet(inv_sqrt[pos] @ x, epochs.labels.copy(), epochs.subjects.copy(), epochs.fs,
                     epochs.n_classes)
 
 

@@ -16,8 +16,8 @@ class RngStream:
     """Counter-based random stream addressed by (seed, stream id)."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be non-negative")
+        if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+            raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
         # a uint64 key is exact up to 2**64; a list of ints above 2**63 goes through float64
         self._gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
 

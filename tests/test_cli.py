@@ -449,6 +449,17 @@ def test_docs_name_exactly_the_cli_subcommands():
     assert set(re.findall(r"^lidsn ([\w-]+)", readme, re.M)) == set(sub.choices)
 
 
+def test_readme_synth_then_features_example_runs(tmp_path, monkeypatch):
+    # the features example once failed on the file the synth example writes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    synth = re.search(r"^lidsn (synth --out data\.eegb .*)$", readme, re.M).group(1)
+    features = re.search(r"^lidsn (features .*)$", readme, re.M).group(1)
+    monkeypatch.chdir(tmp_path)
+    assert main(synth.split()) == 0
+    assert main(features.split()) == 0
+    assert load_epochs(tmp_path / "feats.eegb").n_trials > 0
+
+
 def test_docs_removed_config_keys_are_unknown_keys():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     listed = re.search(r"removed keys (.*?) fails as an unknown key", readme, re.S).group(1)

@@ -1,6 +1,8 @@
 """Epoch container, binary format, synthesis, alignment, features, splits."""
+import os
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -117,6 +119,78 @@ def test_save_peaks_well_under_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < payload / 4, peak / payload
+
+
+def _long_file(tmp_path):
+    e = _long_set()
+    path = tmp_path / "long.eegb"
+    save_epochs(path, e)
+    return e, path
+
+
+def _payload_offset(e):
+    return HEADER.size + 4 * e.n_trials
+
+
+def test_load_peaks_near_its_float64_result(tmp_path):
+    # the payload streams through a small buffer; holding the whole file
+    # beside the result peaked at 1.5x
+    e, path = _long_file(tmp_path)
+    tracemalloc.start()
+    try:
+        back = load_epochs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, e.data.astype("<f4").astype(np.float64))
+    assert peak < 1.15 * back.data.nbytes, peak / back.data.nbytes
+
+
+def test_load_counts_non_finite_samples_in_every_chunk(tmp_path):
+    e, path = _long_file(tmp_path)
+    blob = bytearray(path.read_bytes())
+    off = _payload_offset(e)
+    n = e.data.size
+    # the first sample, the first of the second MiB and the last sample
+    for i, value in ((0, np.nan), (1 << 18, np.inf), (n - 1, np.nan)):
+        blob[off + 4 * i : off + 4 * i + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="^payload has 3 non-finite samples$") as exc:
+        load_epochs(path)
+    assert exc.value.kind == "non_finite"
+
+
+def test_load_size_errors_precede_the_non_finite_scan(tmp_path):
+    e, path = _long_file(tmp_path)
+    blob = bytearray(path.read_bytes())
+    off = _payload_offset(e)
+    blob[off : off + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    need = len(blob) - HEADER.size
+    cut = off + 4 * ((3 << 18) + (1 << 17)) + 2  # mid-chunk, mid-sample
+    path.write_bytes(bytes(blob[:cut]))
+    with pytest.raises(DataFormatError, match=f"^payload has {cut - HEADER.size} bytes, "
+                                              f"expected {need}$") as exc:
+        load_epochs(path)
+    assert exc.value.kind == "truncated_payload"
+    path.write_bytes(bytes(blob) + b"\x01\x02\x03\x04\x05")
+    with pytest.raises(DataFormatError, match="^5 trailing bytes$") as exc:
+        load_epochs(path)
+    assert exc.value.kind == "trailing_data"
+
+
+def test_load_reads_a_pipe(tmp_path):
+    # a pipe has no size until it is read; sizing it by its file length failed
+    e = synth_generate(small_spec(), seed=4)
+    save_epochs(tmp_path / "e.eegb", e)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "e.eegb").read_bytes(),),
+                              daemon=True)
+    writer.start()
+    back = load_epochs(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.data, e.data) and np.array_equal(back.subjects, e.subjects)
 
 
 def test_load_hand_built_file(tmp_path):
@@ -371,6 +445,69 @@ def test_align_survives_exactly_singular_covariance():
     e = EpochSet(data, np.zeros(3), np.zeros(3), 10.0, 1)
     aligned = euclidean_align(e)
     assert np.all(np.isfinite(aligned.data))
+
+
+def reference_align(e, fit_indices=None):
+    """The per-subject loop: copy each subject's trials, whiten, scatter back."""
+    fit_mask = np.full(e.n_trials, fit_indices is None)
+    if fit_indices is not None:
+        fit_mask[np.asarray(fit_indices, dtype=np.int64)] = True
+    aligned = np.empty_like(e.data)
+    for subj in np.unique(e.subjects):
+        idx = np.where(e.subjects == subj)[0]
+        fit = idx[fit_mask[idx]]
+        if fit.size == 0:
+            fit = idx
+        x = e.data[fit]
+        r = (x @ x.transpose(0, 2, 1)).sum(axis=0) / (fit.size * e.n_samples)
+        r = 0.5 * (r + r.T)
+        vals, vecs = np.linalg.eigh(r)
+        if vals.min() <= 0:
+            r = r + 1e-10 * np.eye(e.n_channels)
+            vals, vecs = np.linalg.eigh(r)
+        aligned[idx] = np.matmul((vecs / np.sqrt(vals)) @ vecs.T, e.data[idx])
+    return aligned
+
+
+def _interleaved_set(n=41, c=5, t=203, n_subjects=4, seed=31):
+    rng = np.random.default_rng(seed)
+    return EpochSet(rng.normal(size=(n, c, t)), np.zeros(n), rng.integers(0, n_subjects, n),
+                    10.0, 1)
+
+
+def _singular_set():
+    data = np.random.default_rng(4).normal(size=(8, 3, 40))
+    data[:4, 1, :] = 0.0  # subject 0's covariance has an exactly-zero eigenvalue
+    return EpochSet(data, np.zeros(8), np.arange(8) // 4, 10.0, 1)
+
+
+@pytest.mark.parametrize("make, fit", [
+    (lambda: synth_generate(small_spec(n_subjects=3), seed=14), None),
+    (lambda: synth_generate(small_spec(n_subjects=3), seed=14), np.arange(0, 18, 3)),
+    (_interleaved_set, None),
+    (_interleaved_set, np.arange(0, 41, 2)),
+    # subject 3 contributes no fit rows and falls back to all of its own
+    (_interleaved_set, np.flatnonzero(_interleaved_set().subjects != 3)),
+    (_singular_set, None),
+    (_singular_set, np.array([0, 1, 5])),
+], ids=["contiguous", "contiguous-fit", "interleaved", "interleaved-fit",
+        "subject-without-fit-rows", "singular", "singular-fit"])
+def test_align_equals_the_per_subject_loop_bit_for_bit(make, fit):
+    e = make()
+    assert np.array_equal(euclidean_align(e, fit_indices=fit).data, reference_align(e, fit))
+
+
+def test_align_peaks_near_its_output():
+    # no per-subject copy of the [n, C, T] trials; only [n, C, C] stacks
+    e = EpochSet(np.random.default_rng(8).normal(size=(60, 6, 2000)), np.zeros(60),
+                 np.arange(60) % 5, 100.0, 1)
+    tracemalloc.start()
+    try:
+        out = euclidean_align(e, fit_indices=np.arange(0, 60, 2)).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes, peak / out.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def test_seeds_above_2_63_keep_their_own_stream():
     assert not np.array_equal(draw(2**63), draw(2**63 + 1))
 
 
+@pytest.mark.parametrize("seed, stream", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
+def test_seed_or_stream_outside_u64_raises_value_error(seed, stream):
+    # 2**64 used to reach numpy's raw OverflowError from the uint64 key
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        RngStream(seed, stream)
+
+
 def test_known_values_stable_across_platforms():
     # Philox is counter-based; these values must never change
     got = RngStream(0, 0).uniform(0.0, 1.0, 3)
