@@ -23,7 +23,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataFormatError, NumericError
@@ -91,10 +90,14 @@ def save_epochs(path, epochs: EpochSet) -> None:
         if arr.size and arr.max() > 0xFFFF:
             raise DataFormatError("bad_field", f"{name} exceed u16 range")
     for name, v in (("n_trials", epochs.n_trials), ("n_channels", epochs.n_channels),
-                    ("n_samples", epochs.n_samples)):
+                    ("n_samples", epochs.n_samples), ("n_classes", epochs.n_classes)):
         limit = 0xFFFFFFFF if name in ("n_trials", "n_samples") else 0xFFFF
         if v > limit:
             raise DataFormatError("bad_field", f"{name}={v} exceeds format range")
+    with np.errstate(over="ignore"):
+        fs32 = np.float32(epochs.fs)  # the header stores fs as float32
+    if not 0 < fs32 < np.inf:
+        raise DataFormatError("bad_field", f"fs={epochs.fs} is not positive and finite as float32")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(EEGB_MAGIC, EEGB_VERSION, epochs.n_trials, epochs.n_channels,
                               epochs.n_samples, epochs.fs, epochs.n_classes))
@@ -189,8 +192,8 @@ class SynthSpec:
             fs32 = np.float32(self.fs)  # files store fs as float32
         if not 0 < fs32 < np.inf:
             raise ConfigError(f"fs must be positive and finite as float32, got {self.fs}")
-        if len(self.classes) < 2:
-            raise ConfigError("need at least two class recipes")
+        if not 2 <= len(self.classes) <= 0xFFFF:  # files store n_classes as u16
+            raise ConfigError(f"classes must hold 2 to 65535 recipes, got {len(self.classes)}")
         for i, r in enumerate(self.classes):
             bad = [c for c in r.channels if not 0 <= c < self.n_channels]
             if bad:
@@ -367,7 +370,7 @@ def rpsd_features(epochs: EpochSet, args: FeatureArgs = FeatureArgs(),
     for i in range(epochs.n_trials):
         subs = sliding_window_view(epochs.data[i], w_in, axis=1)[:, starts]
         subs *= window
-        spectrum = scipy.fft.rfft(subs, axis=-1)
+        spectrum = np.fft.rfft(subs, axis=-1)
         powers = (spectrum.real ** 2 + spectrum.imag ** 2) @ band_matrix  # [C, starts, bands]
         totals = powers.sum(axis=-1, keepdims=True)
         if np.any(totals <= 0):

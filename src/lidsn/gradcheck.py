@@ -130,13 +130,13 @@ def primitive_cases(seed: int) -> list[tuple[str, Callable, list[Tensor]]]:
         ("relu", lambda ts: tz.reduce_sum(tz.relu(ts[0])), [away_from_kinks(t(3, 4))]),
         ("gelu", lambda ts: tz.reduce_sum(tz.gelu(ts[0])), [t(3, 4)]),
         ("cosine", lambda ts: tz.reduce_sum(tz.mul(tz.cosine(ts[0]), ts[1])), [t(3, 4), t(3, 4)]),
-        ("softmax", lambda ts: tz.reduce_sum(tz.mul(tz.softmax(ts[0], axis=-1), ts[1])),
+        ("softmax", lambda ts: tz.reduce_sum(tz.mul(tz.softmax(ts[0]), ts[1])),
          [t(3, 5), t(3, 5)]),
-        ("l2norm", lambda ts: tz.reduce_sum(tz.l2norm(ts[0], axis=-1)), [t(3, 4)]),
-        ("layernorm", lambda ts: tz.reduce_sum(tz.mul(tz.layernorm(ts[0], ts[1], ts[2], 1e-5), ts[3])),
+        ("l2norm", lambda ts: tz.reduce_sum(tz.l2norm(ts[0])), [t(3, 4)]),
+        ("layernorm", lambda ts: tz.reduce_sum(tz.mul(tz.layernorm(ts[0], ts[1], ts[2]), ts[3])),
          [t(3, 5), t(5), t(5), t(3, 5)]),
         ("batchnorm", lambda ts: tz.reduce_sum(tz.mul(tz.batchnorm(
-            ts[0], ts[1], ts[2], BatchNormState(3, np.float64), True, 0.1, 1e-5), ts[3])),
+            ts[0], ts[1], ts[2], BatchNormState(3, np.float64), True), ts[3])),
          [t(4, 3), t(3), t(3), t(4, 3)]),
         ("conv1d", lambda ts: tz.reduce_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=2)),
          [t(2, 3, 8), t(4, 3, 3), t(4)]),
@@ -152,7 +152,6 @@ def primitive_cases(seed: int) -> list[tuple[str, Callable, list[Tensor]]]:
              tz.concat([tz.reshape(ts[0], (3, 4)), tz.swapaxes(ts[1], 0, 1)], axis=-1)
          ),
          [t(4, 3), t(5, 3)]),
-        ("select", lambda ts: tz.select(ts[0], (1, 2)), [t(3, 4)]),
         # a fresh mask stream per call keeps the mask frozen across evaluations
         ("dropout", lambda ts: tz.reduce_sum(tz.dropout(
             ts[0], 0.4, RngStream((seed + 17) % SEED_LIMIT, stream=2), training=True)), [t(4, 5)]),

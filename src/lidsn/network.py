@@ -101,8 +101,8 @@ def pooled_context(source: Tensor, params: ParamSet, prefix: str, embed: str, cf
         y1 = tz.add(y1, pos)
         y2 = tz.add(y2, pos)
     scores = tz.scale(tz.matmul(y1, tz.swapaxes(y2, -1, -2)), 1.0 / math.sqrt(cfg.head_dim))
-    affinity = tz.softmax(scores, axis=-1)
-    importance = tz.softmax(tz.l2norm(y1, axis=-1), axis=-1)
+    affinity = tz.softmax(scores)
+    importance = tz.softmax(tz.l2norm(y1))
     context = tz.matmul(affinity, y1)
     b, h, m, dh = context.shape
     weighted = tz.mul(tz.reshape(importance, (b, h, m, 1)), context)
@@ -122,7 +122,7 @@ def gated_refine(target: Tensor, params: ParamSet, prefix: str, cfg: ModelConfig
     keys = _heads(target, params[f"{prefix}.key"])
     m = target.shape[1]
     scores = tz.scale(tz.matmul(tz.swapaxes(x1, -1, -2), keys), 1.0 / math.sqrt(m))
-    attention = tz.softmax(scores, axis=-1)
+    attention = tz.softmax(scores)
     refined = tz.matmul(x1, attention)
     return refined, attention
 
@@ -195,7 +195,7 @@ def fuse(z_t: Tensor, z_s: Tensor, params: ParamSet, cfg: ModelConfig,
         h = tz.matmul(z_t, params["fusion.score.hidden.weight"]) + params["fusion.score.hidden.bias"]
         h = tz.relu(h)
         scores = tz.matmul(h, params["fusion.score.out.weight"]) + params["fusion.score.out.bias"]
-        alpha = tz.softmax(tz.reshape(scores, (b, cfg.n_patches)), axis=-1)
+        alpha = tz.softmax(tz.reshape(scores, (b, cfg.n_patches)))
         if capture is not None:
             capture["fusion/alpha"] = alpha.data.copy()
         zt_vec = tz.reduce_sum(tz.mul(tz.reshape(alpha, (b, cfg.n_patches, 1)), z_t), axis=1)
@@ -296,7 +296,10 @@ def saliency(x: np.ndarray, model: Model, class_index: int | None = None) -> np.
         logits = model.forward(xt)
         if class_index is None:
             class_index = int(np.argmax(logits.data[0]))
-        target = tz.select(logits, (0, int(class_index)))
+        # the gradient of this target is the one-hot itself, exact in either dtype
+        one_hot = np.zeros(logits.shape, dtype=logits.dtype)
+        one_hot[0, int(class_index)] = 1.0
+        target = tz.reduce_sum(tz.mul(logits, Tensor(one_hot)))
         grads = backward(target, tape)
     sal = np.abs(grads[xt][0])
     peak = sal.max()

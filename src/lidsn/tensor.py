@@ -40,6 +40,8 @@ from .errors import ConfigError, NumericError, ShapeError
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in batchnorm's running buffers
+NORM_EPS = 1e-5  # added to the variance by batchnorm and layernorm
 
 
 class Tensor:
@@ -289,28 +291,30 @@ def cosine(x: Tensor) -> Tensor:
     return _record("cosine", out, (x,), back)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     if not _finite(x.data):
         raise NumericError("softmax: non-finite input")
-    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.add.reduce(e, axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def back(g):
-        dot = np.add.reduce(g * out, axis=axis, keepdims=True)
+        dot = np.add.reduce(g * out, axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
     return _record("softmax", out, (x,), back)
 
 
-def l2norm(x: Tensor, axis: int = -1) -> Tensor:
+def l2norm(x: Tensor) -> Tensor:
+    """Euclidean norm over the last axis."""
     xd = x.data
-    norms = np.sqrt(np.sum(xd * xd, axis=axis, keepdims=True))
-    out = np.squeeze(norms, axis=axis)
+    norms = np.sqrt(np.sum(xd * xd, axis=-1, keepdims=True))
+    out = np.squeeze(norms, axis=-1)
 
     def back(g):
         safe = np.where(norms > 0.0, norms, 1.0)
-        return (np.expand_dims(g, axis) * np.where(norms > 0.0, xd / safe, 0.0),)
+        return (np.expand_dims(g, -1) * np.where(norms > 0.0, xd / safe, 0.0),)
 
     return _record("l2norm", out, (x,), back)
 
@@ -378,21 +382,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record("concat", out, ts, back)
 
 
-def select(x: Tensor, index: tuple) -> Tensor:
-    """Pick one element as a scalar tensor."""
-    if len(index) != x.ndim:
-        raise ShapeError(f"select index {index} does not address shape {x.shape}")
-    out = np.asarray(x.data[index])
-    shape, dtype = x.shape, x.dtype
-
-    def back(g):
-        gx = np.zeros(shape, dtype=dtype)
-        gx[index] = g
-        return (gx,)
-
-    return _record("select", out, (x,), back)
-
-
 def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     """Inverted dropout: train-time mask scaled by 1/(1-p), identity in eval."""
     if not 0.0 <= p < 1.0:
@@ -415,7 +404,7 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
 # normalization
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError(
@@ -425,7 +414,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     gd = gain.data
     out = xhat * gd + bias.data
@@ -457,20 +446,13 @@ class BatchNormState:
         return s
 
 
-def batchnorm(
-    x: Tensor,
-    gain: Tensor,
-    bias: Tensor,
-    state: BatchNormState,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
+def batchnorm(x: Tensor, gain: Tensor, bias: Tensor, state: BatchNormState,
+              training: bool) -> Tensor:
     """Per-feature batch normalization over axis 1 of [N, F] or [N, F, L].
 
     Train mode normalizes with biased batch statistics and updates the running
-    buffers in place: new = (1 - momentum) * old + momentum * batch. Eval mode
-    normalizes with the running buffers. Train mode requires N >= 2.
+    buffers in place: new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch.
+    Eval mode normalizes with the running buffers. Train mode requires N >= 2.
     """
     if x.ndim not in (2, 3):
         raise ShapeError(f"batchnorm expects [N, F] or [N, F, L], got {x.shape}")
@@ -488,9 +470,9 @@ def batchnorm(
         mu = np.einsum(f"{dims}->f", x.data) / n_red
         xhat = x.data - mu.reshape(shape_f)
         var = np.einsum(f"{dims},{dims}->f", xhat, xhat) / n_red
-        state.mean = (1.0 - momentum) * state.mean + momentum * mu
-        state.var = (1.0 - momentum) * state.var + momentum * var
-        inv = 1.0 / np.sqrt(var + eps)
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
         xhat *= inv.reshape(shape_f)
         gd = gain.data
         out = xhat * gd.reshape(shape_f)
@@ -509,7 +491,7 @@ def batchnorm(
         return _record("batchnorm", out, (x, gain, bias), back)
 
     xd, gd = x.data, gain.data
-    mean, inv = state.mean, 1.0 / np.sqrt(state.var + eps)
+    mean, inv = state.mean, 1.0 / np.sqrt(state.var + NORM_EPS)
     # one array, normalized in place: eval batches are the largest ones
     out = xd - mean.reshape(shape_f)
     out *= inv.reshape(shape_f)

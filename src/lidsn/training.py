@@ -30,7 +30,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     patience: int = 20
-    weight_decay: float = 0.0
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
@@ -97,7 +94,7 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarr
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay.
+    """Adam with bias correction.
 
     Updates only parameters that received a gradient this step; a non-finite
     gradient aborts the step with the offending parameter named.
@@ -111,7 +108,7 @@ class Adam:
         self._t = {name: 0 for name in params.tensors}
 
     def step(self, grads: dict) -> None:
-        c = self.cfg
+        lr = self.cfg.lr
         for name, tensor in self.params.tensors.items():
             g = grads.get(tensor)
             if g is None:
@@ -124,10 +121,7 @@ class Adam:
             v = self._v[name] = ADAM_BETA2 * self._v[name] + (1.0 - ADAM_BETA2) * g * g
             m_hat = m / (1.0 - ADAM_BETA1 ** t)
             v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if c.weight_decay:
-                update = update + c.weight_decay * tensor.data
-            tensor.data = tensor.data - c.lr * update
+            tensor.data = tensor.data - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 
 from .errors import ShapeError
 
+CELL = 8  # side of one heatmap cell in SVG pixels
+
 
 def format_cell(value) -> str:
     """Round-trippable text for one CSV cell: repr for floats, str otherwise."""
@@ -42,7 +44,7 @@ def _ramp(value: float) -> str:
     return f"#{r:02x}{g:02x}00"
 
 
-def heatmap_svg(matrix: np.ndarray, cell: int = 8) -> str:
+def heatmap_svg(matrix: np.ndarray) -> str:
     """Min-max normalized heatmap, one rect per cell; constant input paints black."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim == 1:
@@ -53,19 +55,19 @@ def heatmap_svg(matrix: np.ndarray, cell: int = 8) -> str:
     norm = (matrix - lo) / (hi - lo) if hi > lo else np.zeros_like(matrix)
     n_rows, n_cols = matrix.shape
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{n_cols * cell}" '
-        f'height="{n_rows * cell}" shape-rendering="crispEdges">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{n_cols * CELL}" '
+        f'height="{n_rows * CELL}" shape-rendering="crispEdges">'
     ]
     for i in range(n_rows):
         for j in range(n_cols):
             parts.append(
-                f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
+                f'<rect x="{j * CELL}" y="{i * CELL}" width="{CELL}" height="{CELL}" '
                 f'fill="{_ramp(float(norm[i, j]))}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def save_heatmap(path, matrix: np.ndarray, cell: int = 8) -> None:
+def save_heatmap(path, matrix: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(heatmap_svg(matrix, cell=cell))
+        fh.write(heatmap_svg(matrix))

@@ -85,6 +85,61 @@ def test_every_public_tensor_function_has_a_caller_in_the_package():
     assert sorted(public - called) == []
 
 
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _literal  # not a literal: equal to no default
+
+
+def test_every_tensor_keyword_default_is_overridden_by_a_package_call():
+    # a default that every call leaves alone is a constant with a knob on it;
+    # a call overrides it by passing a different literal or any expression.
+    # As above, the grad-check battery does not count as a caller
+    package = Path(lidsn.__file__).parent
+    defaults = {}  # function -> {parameter: (position or None, default)}
+    for node in ast.parse((package / "tensor.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = {p.arg: (first + i, _literal(d))
+                      for i, (p, d) in enumerate(zip(positional[first:], a.defaults))}
+            params |= {p.arg: (None, _literal(d))
+                       for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+            if params:
+                defaults[node.name] = params
+    overridden = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "gradcheck.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+                 for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "tz":
+                name = f.attr
+            elif isinstance(f, ast.Name):
+                name = f.id if path.name == "tensor.py" else names.get(f.id)
+            else:
+                continue
+            unpacked = (any(isinstance(v, ast.Starred) for v in node.args)
+                        or any(kw.arg is None for kw in node.keywords))
+            for param, (pos, default) in defaults.get(name, {}).items():
+                passed = [kw.value for kw in node.keywords if kw.arg == param]
+                if pos is not None and pos < len(node.args):
+                    passed.append(node.args[pos])
+                if unpacked or any(_literal(v) != default for v in passed):
+                    overridden.add((name, param))
+    never = [f"{name}.{param}" for name, params in sorted(defaults.items())
+             for param in params if (name, param) not in overridden]
+    assert never == []
+
+
 def test_tensor_checks_finiteness_in_one_place():
     # every output and gradient check goes through _finite, one elementwise
     # isfinite reduction; np.all and np.pad cost a Python wrapper per call

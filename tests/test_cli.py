@@ -326,6 +326,7 @@ BAD_CONFIGS = {
     "train_seed": ("train", _train(seed=5), "train.seed"),
     "bn_eps_removed": ("train", _model(bn_eps=-1.0), "model.bn_eps"),
     "beta2_removed": ("train", _train(beta2=0.95), "train.beta2"),
+    "train_weight_decay_removed": ("train", _train(weight_decay=0.01), "train.weight_decay"),
     "class_weight_mode_removed": ("train", _train(class_weight_mode="inverse"),
                                   "train.class_weight_mode"),
     # pools tile their input, so each stride is its window
@@ -347,6 +348,9 @@ BAD_CONFIGS = {
     "synth_pink_exponent_huge": ("synth", dict(SYNTH_SPEC, n_samples=80, pink_exponent=1e6),
                                  "pink_exponent"),
     "synth_amplitude_huge": ("synth", _classes(amplitude=1e39), "amplitude"),
+    # files store the class count as u16
+    "synth_classes_above_u16": ("synth", dict(SYNTH_SPEC, classes=SYNTH_SPEC["classes"] * 32768),
+                                "classes"),
 }
 
 

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
@@ -290,6 +291,18 @@ def test_save_rejects_u16_overflow(tmp_path):
     assert exc.value.kind == "bad_field"
 
 
+@pytest.mark.parametrize("n_classes, fs", [(0x10000, 10.0), (2, 1e300), (2, 1e-300)],
+                         ids=["n_classes_above_u16", "fs_f32_overflow", "fs_f32_underflow"])
+def test_save_rejects_header_fields_out_of_range_before_writing(tmp_path, n_classes, fs):
+    # the header stores n_classes as u16 and fs as f32; a bad field leaves no file
+    e = EpochSet(np.zeros((1, 1, 2)), np.array([0]), np.array([0]), fs, n_classes)
+    path = tmp_path / "x.eegb"
+    with pytest.raises(DataFormatError) as exc:
+        save_epochs(path, e)
+    assert exc.value.kind == "bad_field"
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -553,6 +566,21 @@ def test_rpsd_matches_dft_oracle():
     want = oracle_rpsd(e, FEATURE_ARGS)
     assert got.data.shape == want.shape
     assert np.abs(got.data - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("fs, n_samples, args", [
+    (128.0, 256, FEATURE_ARGS),
+    (128.0, 30 * 128, FeatureArgs()),
+    (50.0, 160, FeatureArgs(outer_window_s=2.0, inner_window_s=0.9, inner_overlap=0.5)),
+    (40.0, 45, FeatureArgs(outer_window_s=1.0, inner_window_s=0.075, inner_overlap=0.0)),
+], ids=["even_128", "default_args_30s", "odd_45", "odd_3"])
+def test_rpsd_numpy_fft_equals_scipy_fft_bitwise(monkeypatch, fs, n_samples, args):
+    # scipy.fft.rfft is the reference transform: numpy's must give the same bits
+    data = np.random.default_rng(7).normal(size=(2, 3, n_samples))
+    e = EpochSet(data, np.array([0, 1]), np.array([0, 0]), fs, 2)
+    got = rpsd_features(e, args).data
+    monkeypatch.setattr(np.fft, "rfft", scipy.fft.rfft)
+    assert np.array_equal(got, rpsd_features(e, args).data)
 
 
 # a 2-sample Hann window is all zeros, so inner windows start at 3 samples

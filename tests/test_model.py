@@ -3,6 +3,8 @@
 Every oracle below is an independent re-derivation in plain numpy; none of
 them call the package's tensor ops.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from scipy.special import erf
 from lidsn import tensor as tz
 from lidsn.config import ModelConfig
 from lidsn.errors import ShapeError
+from lidsn.gradcheck import clear_input_draw
 from lidsn.network import (
     Model,
     ffn_block,
@@ -648,6 +651,30 @@ def test_saliency_normalized(tiny_cfg):
     s = saliency(x, model)
     assert s.shape == (tiny_cfg.n_channels, tiny_cfg.n_samples)
     assert s.min() >= 0.0 and np.isclose(s.max(), 1.0)
+
+
+def test_saliency_follows_the_chosen_logits_derivatives(tiny_cfg):
+    # saliency is |d logit_k / dx| over its maximum, so its ratios at any two
+    # coordinates are the ratios of logit k's central-difference derivatives
+    model, _ = build(replace(tiny_cfg, n_classes=3))
+    rng = RngStream(36, 211)
+    # zero-init biases leave ReLUs on their kink, where central differences fail
+    for name, t in list(model.params.tensors.items()):
+        model.params.replace(name, t.data + rng.normal(0.0, 0.1, t.shape))
+    x = clear_input_draw(model, 1, rng)
+    k = int(np.argmin(model.logits_np(x)[0]))  # a logit that is not the argmax
+    s = saliency(x[0], model, k)
+    coords = [(0, 3), (1, 17), (2, 31)]
+    h = 1e-5
+    derivs = []
+    for c, t in coords:
+        up, down = x.copy(), x.copy()
+        up[0, c, t] += h
+        down[0, c, t] -= h
+        derivs.append((model.logits_np(up)[0, k] - model.logits_np(down)[0, k]) / (2 * h))
+    got = np.array([s[c, t] for c, t in coords])
+    assert got.min() > 1e-3
+    assert np.allclose(got / got[0], np.abs(derivs) / abs(derivs[0]), rtol=1e-6, atol=0)
 
 
 @given(

@@ -67,7 +67,7 @@ def test_layernorm_forward_oracle():
     mu = x.mean(-1, keepdims=True)
     var = x.var(-1, keepdims=True)
     expected = g * (x - mu) / np.sqrt(var + 1e-5) + b
-    out = tz.layernorm(Tensor(x), Tensor(g), Tensor(b), 1e-5)
+    out = tz.layernorm(Tensor(x), Tensor(g), Tensor(b))
     assert np.allclose(out.data, expected, atol=1e-13)
 
 
@@ -173,7 +173,7 @@ def test_batchnorm_train_uses_biased_variance():
     x = rnd(6, 3, seed=23)
     g, b = np.ones(3), np.zeros(3)
     state = BatchNormState(3, np.float64)
-    out = tz.batchnorm(Tensor(x), Tensor(g), Tensor(b), state, True, 0.1, 1e-5)
+    out = tz.batchnorm(Tensor(x), Tensor(g), Tensor(b), state, True)
     mu = x.mean(0)
     var = x.var(0)  # ddof=0
     assert np.allclose(out.data, (x - mu) / np.sqrt(var + 1e-5), atol=1e-13)
@@ -185,8 +185,7 @@ def test_batchnorm_unit_input_example():
     # fresh stats (mean 0, var 1): a constant input c maps to c / sqrt(1 + eps)
     state = BatchNormState(2, np.float64)
     x = np.ones((3, 2))
-    out = tz.batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state,
-                       False, 0.1, 1e-5)
+    out = tz.batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, False)
     assert np.allclose(out.data, 1.0 / np.sqrt(1.0 + 1e-5), atol=1e-15)
 
 
@@ -195,8 +194,7 @@ def test_batchnorm_eval_uses_running_stats():
     state.mean = np.array([1.0, 2.0, 3.0])
     state.var = np.array([4.0, 9.0, 16.0])
     x = rnd(5, 3, seed=24)
-    out = tz.batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), state,
-                       False, 0.1, 1e-5)
+    out = tz.batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), state, False)
     expected = (x - state.mean) / np.sqrt(state.var + 1e-5)
     assert np.allclose(out.data, expected, atol=1e-13)
 
@@ -209,7 +207,7 @@ def test_batchnorm_train_2d_matches_numpy_reference():
     state = BatchNormState(4, np.float64)
     xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
     with Tape() as tape:
-        out = tz.batchnorm(xt, gt, bt, state, True, 0.1, 1e-5)
+        out = tz.batchnorm(xt, gt, bt, state, True)
         grads = backward(tz.reduce_sum(tz.mul(out, Tensor(g))), tape)
     mu, var = x.mean(0), x.var(0)
     xhat = (x - mu) / np.sqrt(var + 1e-5)
@@ -226,8 +224,7 @@ def test_batchnorm_train_2d_matches_numpy_reference():
 def test_batchnorm_channelled_layout():
     x = rnd(2, 3, 5, seed=25)
     state = BatchNormState(3, np.float64)
-    out = tz.batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), state,
-                       True, 0.1, 1e-5)
+    out = tz.batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), state, True)
     mu = x.mean(axis=(0, 2))
     var = x.var(axis=(0, 2))
     expected = (x - mu[None, :, None]) / np.sqrt(var + 1e-5)[None, :, None]
@@ -267,7 +264,7 @@ def weighted_sum(y: Tensor) -> Tensor:
 @pytest.mark.parametrize("name", [
     "add", "mul", "scale", "matmul", "gelu", "cosine", "softmax",
     "l2norm", "layernorm", "reduce_sum", "reduce_mean", "reshape", "swapaxes",
-    "concat", "select", "avgpool", "conv1d", "conv_pointwise", "conv_depthwise",
+    "concat", "avgpool", "conv1d", "conv_pointwise", "conv_depthwise",
     "conv1d_tokenizer", "conv_depthwise_long_kernel", "avgpool_tiled", "avgpool_tail",
 ])
 def test_primitive_gradients(name):
@@ -283,9 +280,9 @@ def test_primitive_gradients(name):
         "matmul": (lambda ts: tz.reduce_sum(tz.matmul(ts[0], ts[1])), [t(2, 3, 4), t(4, 2)]),
         "gelu": (lambda ts: tz.reduce_sum(tz.gelu(ts[0])), [t(4, 4)]),
         "cosine": (lambda ts: tz.reduce_sum(tz.mul(tz.cosine(ts[0]), ts[1])), [t(3, 3), t(3, 3)]),
-        "softmax": (lambda ts: tz.reduce_sum(tz.mul(tz.softmax(ts[0], -1), ts[1])),
+        "softmax": (lambda ts: tz.reduce_sum(tz.mul(tz.softmax(ts[0]), ts[1])),
                     [t(3, 5), t(3, 5)]),
-        "l2norm": (lambda ts: tz.reduce_sum(tz.l2norm(ts[0], -1)), [t(4, 3)]),
+        "l2norm": (lambda ts: tz.reduce_sum(tz.l2norm(ts[0])), [t(4, 3)]),
         "layernorm": (lambda ts: tz.reduce_sum(tz.mul(tz.layernorm(ts[0], ts[1], ts[2]), ts[3])),
                       [t(3, 6), t(6), t(6), t(3, 6)]),
         "reduce_sum": (lambda ts: tz.reduce_sum(tz.mul(tz.reduce_sum(ts[0], 1), ts[1])),
@@ -298,7 +295,6 @@ def test_primitive_gradients(name):
                      [t(2, 3, 4), t(4, 3, 2)]),
         "concat": (lambda ts: tz.reduce_sum(tz.mul(tz.concat([ts[0], ts[1]], -1), ts[2])),
                    [t(2, 3), t(2, 2), t(2, 5)]),
-        "select": (lambda ts: tz.select(ts[0], (1, 2)), [t(2, 4)]),
         "avgpool": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 3)), [t(2, 2, 9)]),
         "conv1d": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=3)),
                    [t(2, 3, 11), t(2, 3, 5), t(2)]),
@@ -336,7 +332,7 @@ def test_batchnorm_train_gradient():
 
     def fn(ts):
         state = BatchNormState(3, np.float64)
-        return tz.reduce_sum(tz.mul(tz.batchnorm(ts[0], ts[1], ts[2], state, True, 0.1, 1e-5), w))
+        return tz.reduce_sum(tz.mul(tz.batchnorm(ts[0], ts[1], ts[2], state, True), w))
 
     assert grad_check(fn, [x, g, b]) < 1e-6
 
@@ -351,7 +347,7 @@ def test_batchnorm_eval_gradient():
     b = Tensor(r.normal(0, 1, (3,)), requires_grad=True)
 
     def fn(ts):
-        return tz.reduce_sum(tz.batchnorm(ts[0], ts[1], ts[2], state, False, 0.1, 1e-5))
+        return tz.reduce_sum(tz.batchnorm(ts[0], ts[1], ts[2], state, False))
 
     assert grad_check(fn, [x, g, b]) < 1e-6
 
@@ -600,7 +596,7 @@ def test_batchnorm_train_rejects_batch_of_one():
     state = BatchNormState(3, np.float64)
     with pytest.raises(ShapeError):
         tz.batchnorm(Tensor(np.ones((1, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                     state, True, 0.1, 1e-5)
+                     state, True)
 
 
 def test_tensor_promotes_non_float_dtypes_to_f64():
@@ -668,7 +664,7 @@ def test_finite_is_the_elementwise_predicate(a):
 @settings(max_examples=40, deadline=None)
 def test_softmax_rows_sum_to_one(rows, cols, seed):
     x = RngStream(seed, 60).normal(0.0, 3.0, (rows, cols))
-    out = tz.softmax(Tensor(x), axis=-1).data
+    out = tz.softmax(Tensor(x)).data
     assert np.all(out > 0)
     assert np.allclose(out.sum(-1), 1.0, atol=1e-12)
 

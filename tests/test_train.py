@@ -139,17 +139,6 @@ def test_adam_first_step_is_signlike():
     assert step[1] == pytest.approx(0.01, rel=1e-4)
 
 
-def test_adam_decoupled_weight_decay():
-    cfg = TrainConfig(lr=0.1, weight_decay=0.5)
-    ps = one_param([2.0])
-    opt = Adam(ps, cfg)
-    g = np.array([1.0])
-    opt.step({ps.tensors["w"]: g})
-    plain = 1.0 / (np.sqrt(1.0) + 1e-8)
-    want = 2.0 - 0.1 * (plain + 0.5 * 2.0)
-    assert ps.tensors["w"].data[0] == pytest.approx(want, abs=1e-15)
-
-
 def test_adam_skips_parameters_without_gradients():
     ps = one_param([1.0])
     ps.tensors["frozen"] = Tensor(np.array([5.0]), requires_grad=True)
