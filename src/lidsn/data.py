@@ -188,6 +188,14 @@ class SynthSpec:
             raise ConfigError("need at least one subject and one trial per subject")
         if self.n_channels < 1 or self.n_samples < 2:
             raise ConfigError("need n_channels >= 1 and n_samples >= 2")
+        # files store subject ids and n_channels as u16, n_samples and n_trials as u32
+        for name, value, limit in (
+                ("n_subjects", self.n_subjects, 0x10000), ("n_channels", self.n_channels, 0xFFFF),
+                ("n_samples", self.n_samples, 0xFFFFFFFF),
+                ("n_subjects * trials_per_subject", self.n_subjects * self.trials_per_subject,
+                 0xFFFFFFFF)):
+            if value > limit:
+                raise ConfigError(f"{name} must be at most {limit}, got {value}")
         with np.errstate(over="ignore"):
             fs32 = np.float32(self.fs)  # files store fs as float32
         if not 0 < fs32 < np.inf:
@@ -324,9 +332,8 @@ class FeatureArgs:
                 raise ConfigError(f"{name} window must be positive, got {seconds} s")
 
 
-def rpsd_features(epochs: EpochSet, args: FeatureArgs = FeatureArgs(),
-                  bands=DEFAULT_BANDS) -> EpochSet:
-    """Relative band power features on sliding windows.
+def rpsd_features(epochs: EpochSet, args: FeatureArgs = FeatureArgs()) -> EpochSet:
+    """Relative band power features (DEFAULT_BANDS) on sliding windows.
 
     Each trial splits into outer segments (one output row each); each segment
     splits into overlapping sub-windows whose Hann periodogram is reduced to
@@ -335,8 +342,6 @@ def rpsd_features(epochs: EpochSet, args: FeatureArgs = FeatureArgs(),
     share sub-windows that start at the same sample; each distinct sub-window
     is transformed once per trial.
     """
-    if not bands:
-        raise ConfigError("band set must not be empty")
     if epochs.n_trials == 0:
         raise ConfigError("cannot compute features of an empty epoch set")
     fs = epochs.fs
@@ -364,9 +369,10 @@ def rpsd_features(epochs: EpochSet, args: FeatureArgs = FeatureArgs(),
     inverse = inverse.reshape(n_seg, n_sub)
     window = np.hanning(w_in)
     freqs = np.fft.rfftfreq(w_in, d=1.0 / fs)
-    band_matrix = np.array([(freqs >= lo) & (freqs <= hi) for lo, hi in bands], dtype=float).T
+    band_matrix = np.array([(freqs >= lo) & (freqs <= hi) for lo, hi in DEFAULT_BANDS],
+                           dtype=float).T
 
-    out = np.empty((epochs.n_trials, n_seg, n_ch, n_sub * len(bands)))
+    out = np.empty((epochs.n_trials, n_seg, n_ch, n_sub * len(DEFAULT_BANDS)))
     for i in range(epochs.n_trials):
         subs = sliding_window_view(epochs.data[i], w_in, axis=1)[:, starts]
         subs *= window

@@ -46,10 +46,14 @@ def _eval(fn: Callable, inputs: list[Tensor]) -> float:
     return out.item()
 
 
+# central-difference step per unit of |x|, by dtype: float32 rounds a loss to
+# about 1e-7 of its size, which divided by a 1e-5 step would swamp the derivative
+_STEP = {"d": 1e-5, "f": 1e-2}
+
+
 def grad_check(
     fn: Callable[[list[Tensor]], Tensor],
     inputs: Sequence[Tensor],
-    eps: float = 1e-5,
     max_coords_per_input: int | None = None,
     coord_rng: RngStream | None = None,
 ) -> float:
@@ -58,7 +62,8 @@ def grad_check(
     fn maps a list of tensors to a scalar tensor and must be deterministic
     (dropout disabled or its mask frozen); non-determinism is detected by a
     double evaluation and raised as NumericError. Each coordinate is perturbed
-    by h = eps * max(1, |x|). Returns the max over checked coordinates of
+    by h = step * max(1, |x|), with step 1e-5 for a float64 input and 1e-2 for
+    a float32 one. Returns the max over checked coordinates of
     |analytic - numeric| / max(1, |analytic|, |numeric|).
 
     max_coords_per_input caps the number of coordinates checked per input
@@ -87,8 +92,9 @@ def grad_check(
         else:
             order = range(n)
         a_flat = np.asarray(analytic[pos]).reshape(-1)
+        step = _STEP[t.dtype.char]
         for i in order:
-            h = eps * max(1.0, abs(float(flat[i])))
+            h = step * max(1.0, abs(float(flat[i])))
             probe = [u if u is not t else None for u in inputs]
 
             def at(v: float) -> float:

@@ -286,19 +286,15 @@ class Model:
         return np.concatenate(outs, axis=0)
 
 
-def saliency(x: np.ndarray, model: Model, class_index: int | None = None) -> np.ndarray:
-    """Input-gradient saliency map for one trial, max-normalized to [0, 1].
-
-    x: [C, T]. class_index defaults to the predicted class.
-    """
+def saliency(x: np.ndarray, model: Model) -> np.ndarray:
+    """Input-gradient saliency map of the predicted class's logit for one
+    trial, max-normalized to [0, 1]. x: [C, T]."""
     xt = Tensor(np.asarray(x, dtype=model.cfg.np_dtype)[None], requires_grad=True)
     with Tape() as tape:
         logits = model.forward(xt)
-        if class_index is None:
-            class_index = int(np.argmax(logits.data[0]))
         # the gradient of this target is the one-hot itself, exact in either dtype
         one_hot = np.zeros(logits.shape, dtype=logits.dtype)
-        one_hot[0, int(class_index)] = 1.0
+        one_hot[0, np.argmax(logits.data[0])] = 1.0
         target = tz.reduce_sum(tz.mul(logits, Tensor(one_hot)))
         grads = backward(target, tape)
     sal = np.abs(grads[xt][0])

@@ -31,7 +31,7 @@ class RngStream:
         """0/1 float mask with P(1) = p_true."""
         return (self._gen.random(size=shape) < p_true).astype(np.float64)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
+    def integers(self, low: int, high: int, shape) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -258,13 +258,19 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    # exact Gaussian-CDF form: x * Phi(x), with Phi = 0.5 * (1 + erf(x / sqrt(2)))
+    # exact Gaussian-CDF form: x * Phi(x), with Phi = 0.5 * (1 + erf(x / sqrt(2))),
+    # built in one buffer that ends up holding the output
     xd = x.data
     cdf = xd * _INV_SQRT2
+    # scipy's erf opens with a branch on the sign, mispredicted about half the
+    # time on activations; fed |z| it never takes it. copysign(erf(|z|), z) is
+    # erf(z) bit for bit only because scipy's erf is odd by negation
+    # (erf(-z) is -erf(z)); z = x / sqrt(2) has the sign of x, -0.0 included
+    np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
+    np.copysign(cdf, xd, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = xd * cdf
     if _taping((x,)) is not None:
         # the derivative Phi(x) + x * phi(x) is the one array the rule keeps
         deriv = xd * xd
@@ -278,7 +284,7 @@ def gelu(x: Tensor) -> Tensor:
         # in place: a rule runs once, when backward pops its entry
         return (np.multiply(deriv, g, out=deriv),)
 
-    return _record("gelu", out, (x,), back)
+    return _record("gelu", np.multiply(xd, cdf, out=cdf), (x,), back)
 
 
 def cosine(x: Tensor) -> Tensor:
@@ -435,7 +441,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 class BatchNormState:
     """Running statistics for one batchnorm site (the only mutable state)."""
 
-    def __init__(self, n_features: int, dtype=np.float64):
+    def __init__(self, n_features: int, dtype):
         self.mean = np.zeros(n_features, dtype=dtype)
         self.var = np.ones(n_features, dtype=dtype)
 

@@ -14,7 +14,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .network import Model
 from .params import ParamSet, round_through_f32
 from .rng import RngStream
-from .tensor import Tape, Tensor, _record, backward
+from .tensor import Tape, Tensor, _finite, _record, backward
 
 SHUFFLE_STREAM = 1
 DROPOUT_STREAM = 2
@@ -113,7 +113,7 @@ class Adam:
             g = grads.get(tensor)
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not _finite(g):
                 raise NumericError(f"non-finite gradient for parameter {name}")
             self._t[name] += 1
             t = self._t[name]

@@ -89,69 +89,84 @@ def _literal(node):
     try:
         return ast.literal_eval(node)
     except ValueError:
-        return _literal  # not a literal: equal to no default
+        return ast.unparse(node), _literal  # an expression equals only its own source
 
 
-def test_every_tensor_keyword_default_is_overridden_by_a_package_call():
+def _keyword_defaults(fn: ast.FunctionDef, bound: int) -> dict:
+    """{parameter: (position or None, default)}, past the first `bound` (self or cls)."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[bound:]
+    first = len(positional) - len(a.defaults)
+    params = {p.arg: (first + i, _literal(d))
+              for i, (p, d) in enumerate(zip(positional[first:], a.defaults))}
+    params |= {p.arg: (None, _literal(d))
+               for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+    return params
+
+
+def test_every_keyword_default_is_overridden_by_a_package_call():
     # a default that every call leaves alone is a constant with a knob on it;
-    # a call overrides it by passing a different literal or any expression.
-    # As above, the grad-check battery does not count as a caller
+    # a call overrides it by passing a different literal or another expression.
+    # Public functions, public methods and constructors of every module count;
+    # a call names its callee by its last attribute, and a class call is its
+    # __init__. The grad-check battery calls every primitive, so its calls
+    # (gradcheck.primitive_cases) do not count
     package = Path(lidsn.__file__).parent
-    defaults = {}  # function -> {parameter: (position or None, default)}
-    for node in ast.parse((package / "tensor.py").read_text()).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            a = node.args
-            positional = a.posonlyargs + a.args
-            first = len(positional) - len(a.defaults)
-            params = {p.arg: (first + i, _literal(d))
-                      for i, (p, d) in enumerate(zip(positional[first:], a.defaults))}
-            params |= {p.arg: (None, _literal(d))
-                       for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
-            if params:
-                defaults[node.name] = params
-    overridden = set()
+    defaults = {}  # callee name -> {parameter: (position or None, default)}
+    where = {}  # callee name -> module
     for path in sorted(package.glob("*.py")):
-        if path.name == "gradcheck.py":
-            continue
-        tree = ast.parse(path.read_text())
-        names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module == "tensor"
-                 for alias in node.names}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "tz":
-                name = f.attr
-            elif isinstance(f, ast.Name):
-                name = f.id if path.name == "tensor.py" else names.get(f.id)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found = [(node.name if m.name == "__init__" else m.name, m,
+                          0 if "staticmethod" in map(ast.unparse, m.decorator_list) else 1)
+                         for m in node.body if isinstance(m, ast.FunctionDef)
+                         and (m.name == "__init__" or not m.name.startswith("_"))]
             else:
                 continue
-            unpacked = (any(isinstance(v, ast.Starred) for v in node.args)
-                        or any(kw.arg is None for kw in node.keywords))
-            for param, (pos, default) in defaults.get(name, {}).items():
-                passed = [kw.value for kw in node.keywords if kw.arg == param]
-                if pos is not None and pos < len(node.args):
-                    passed.append(node.args[pos])
-                if unpacked or any(_literal(v) != default for v in passed):
-                    overridden.add((name, param))
-    never = [f"{name}.{param}" for name, params in sorted(defaults.items())
+            for name, fn, bound in found:
+                params = _keyword_defaults(fn, bound)
+                if params:
+                    defaults.setdefault(name, {}).update(params)
+                    where[name] = path.stem
+    overridden = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "gradcheck.py" and getattr(top, "name", None) == "primitive_cases":
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                unpacked = (any(isinstance(v, ast.Starred) for v in node.args)
+                            or any(kw.arg is None for kw in node.keywords))
+                for param, (pos, default) in defaults.get(name, {}).items():
+                    passed = [kw.value for kw in node.keywords if kw.arg == param]
+                    if pos is not None and pos < len(node.args):
+                        passed.append(node.args[pos])
+                    if unpacked or any(_literal(v) != default for v in passed):
+                        overridden.add((name, param))
+    never = [f"{where[name]}.{name}.{param}" for name, params in sorted(defaults.items())
              for param in params if (name, param) not in overridden]
     assert never == []
 
 
 def test_tensor_checks_finiteness_in_one_place():
-    # every output and gradient check goes through _finite, one elementwise
-    # isfinite reduction; np.all and np.pad cost a Python wrapper per call
-    tree = ast.parse((Path(lidsn.__file__).parent / "tensor.py").read_text())
-    calls = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
-                calls.append((getattr(top, "name", None), node.func.attr))
-    assert [c for c in calls if c[1] in ("all", "pad")] == []
-    assert {name for name, attr in calls if attr == "isfinite"} == {"_finite"}
+    # every output and gradient check, Adam's included, goes through
+    # tensor._finite, one elementwise isfinite reduction; np.all and np.pad
+    # cost a Python wrapper per call
+    for module, checker in (("tensor.py", {"_finite"}), ("training.py", set())):
+        tree = ast.parse((Path(lidsn.__file__).parent / module).read_text())
+        calls = []
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                    calls.append((getattr(top, "name", None), node.func.attr))
+        assert [c for c in calls if c[1] in ("all", "pad")] == [], module
+        assert {name for name, attr in calls if attr == "isfinite"} == checker, module
 
 
 def test_every_config_field_is_read_outside_its_class():

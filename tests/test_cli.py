@@ -351,6 +351,12 @@ BAD_CONFIGS = {
     # files store the class count as u16
     "synth_classes_above_u16": ("synth", dict(SYNTH_SPEC, classes=SYNTH_SPEC["classes"] * 32768),
                                 "classes"),
+    # and subject ids and n_channels as u16, n_samples and the trial count as u32
+    "synth_subjects_above_u16": ("synth", dict(SYNTH_SPEC, n_subjects=65537), "n_subjects"),
+    "synth_channels_above_u16": ("synth", dict(SYNTH_SPEC, n_channels=65536), "n_channels"),
+    "synth_samples_above_u32": ("synth", dict(SYNTH_SPEC, n_samples=2**32), "n_samples"),
+    "synth_trials_above_u32": ("synth", dict(SYNTH_SPEC, trials_per_subject=2**31),
+                               "trials_per_subject"),
 }
 
 
@@ -369,6 +375,22 @@ def test_bad_config_names_the_key(work, capsys, case):
     assert main(argv + ["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error[config]:") and key in err, err
+
+
+def test_synth_rejects_a_set_its_file_cannot_store_before_generating(tmp_path, capsys,
+                                                                    monkeypatch):
+    # 70000 one-trial subjects of 2 x 4 samples: subject ids are u16 in the file
+    def generate(*_):
+        raise AssertionError("synth_generate ran")
+
+    monkeypatch.setattr(cli, "synth_generate", generate)
+    spec = dict(SYNTH_SPEC, n_subjects=70000, trials_per_subject=1, n_channels=2, n_samples=4)
+    cfg, out = tmp_path / "spec.json", tmp_path / "x.eegb"
+    cfg.write_text(json.dumps(spec))
+    assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[config]:") and "n_subjects" in err, err
+    assert not out.exists()
 
 
 # (argv with {data}/{root} placeholders, text the error must name)

@@ -618,7 +618,9 @@ def test_rpsd_property_matches_dft_oracle(n_trials, n_channels, w_in, extra_out,
         bands = ((0.99 * bin1, 1.01 * bin1), (1.5 * bin1, fs / 2))
     args = FeatureArgs(outer_window_s=w_out / fs, outer_overlap=outer_overlap,
                        inner_window_s=w_in / fs, inner_overlap=inner_overlap)
-    got = rpsd_features(e, args, bands)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lidsn.data.DEFAULT_BANDS", bands)  # the band set rpsd_features reads
+        got = rpsd_features(e, args)
     want = oracle_rpsd(e, args, bands)
     assert got.data.shape == want.shape
     assert np.abs(got.data - want).max() < 1e-9
@@ -679,8 +681,6 @@ def test_rpsd_errors():
         rpsd_features(e, FeatureArgs(outer_window_s=100.0))
     with pytest.raises(ConfigError):
         rpsd_features(e, FeatureArgs(outer_window_s=1.0, inner_window_s=2.0))
-    with pytest.raises(ConfigError):
-        rpsd_features(e, FEATURE_ARGS, bands=())
     zeros = EpochSet(np.zeros((1, 2, 256)), np.zeros(1), np.zeros(1), 128.0, 1)
     with pytest.raises(NumericError):
         rpsd_features(zeros, FEATURE_ARGS)

@@ -653,17 +653,18 @@ def test_saliency_normalized(tiny_cfg):
     assert s.min() >= 0.0 and np.isclose(s.max(), 1.0)
 
 
-def test_saliency_follows_the_chosen_logits_derivatives(tiny_cfg):
-    # saliency is |d logit_k / dx| over its maximum, so its ratios at any two
-    # coordinates are the ratios of logit k's central-difference derivatives
+def test_saliency_follows_the_predicted_logits_derivatives(tiny_cfg):
+    # saliency is |d logit_k / dx| over its maximum for the predicted class k,
+    # so its ratios at any two coordinates are the ratios of logit k's
+    # central-difference derivatives
     model, _ = build(replace(tiny_cfg, n_classes=3))
     rng = RngStream(36, 211)
     # zero-init biases leave ReLUs on their kink, where central differences fail
     for name, t in list(model.params.tensors.items()):
         model.params.replace(name, t.data + rng.normal(0.0, 0.1, t.shape))
     x = clear_input_draw(model, 1, rng)
-    k = int(np.argmin(model.logits_np(x)[0]))  # a logit that is not the argmax
-    s = saliency(x[0], model, k)
+    k = int(np.argmax(model.logits_np(x)[0]))
+    s = saliency(x[0], model)
     coords = [(0, 3), (1, 17), (2, 31)]
     h = 1e-5
     derivs = []
