@@ -36,6 +36,7 @@ from .rng import RngStream
 from .tensor import Tape, Tensor, backward
 from .training import (
     Adam,
+    RunConfig,
     TrainConfig,
     TrainOutcome,
     class_weights,
@@ -65,6 +66,7 @@ __all__ = [
     "NumericError",
     "ParamSet",
     "RngStream",
+    "RunConfig",
     "ShapeError",
     "SplitPlan",
     "SynthSpec",

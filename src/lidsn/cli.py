@@ -15,11 +15,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig, from_dict, model_config_from_dict
+from .config import from_dict
 from .data import (
     PROTOCOLS,
     FeatureArgs,
@@ -35,7 +34,7 @@ from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .gradcheck import battery
 from .network import Model, saliency
 from .params import count_params_flops, load_snapshot, save_snapshot
-from .training import SEED_LIMIT, TrainConfig, check_seeds, evaluate_model, run_protocol
+from .training import SEED_LIMIT, RunConfig, evaluate_model, run_protocol
 from .viz import format_cell, matrix_csv, save_heatmap, write_csv
 
 _VIZ_STEMS = {"affinity": "sacm", "attention": "tcam", "importance": "omega"}
@@ -51,39 +50,6 @@ def _finite_or_none(x: float):
 
 # ---------------------------------------------------------------------------
 # run config resolution
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A run config file; ``model`` stays raw until the data geometry is known."""
-
-    model: dict = field(default_factory=dict)
-    train: TrainConfig = TrainConfig()
-    protocol: str = "CO"
-    align: bool = False
-    features: bool = False
-    feature_args: FeatureArgs = FeatureArgs()
-    n_folds: int = 5
-    train_fraction: float = 0.8
-    seeds: tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.n_folds < 2:
-            raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        check_seeds(self.seeds)
-
-    def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
-        """The model section, filled in for this data geometry and validated."""
-        return model_config_from_dict(self.model, n_channels=n_channels,
-                                      n_samples=n_samples, n_classes=n_classes)
-
-    def canonical(self, model: ModelConfig) -> dict:
-        """The canonical dict, with the model section replaced by the resolved one."""
-        return {**asdict(self), "model": asdict(model)}
 
 
 def resolve_run_config(raw: dict, n_channels: int, n_samples: int, n_classes: int) -> dict:
@@ -104,15 +70,18 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _load_run(config_path) -> RunConfig:
+    return from_dict(RunConfig, _load_json(config_path) if config_path else {})
+
+
 def _prepare(data_path, config_path):
     """Load epochs and apply the feature stage if configured.
 
     Returns the epochs, the validated run config and its model config
     resolved for the epochs' geometry.
     """
-    raw = _load_json(config_path) if config_path else {}
+    run = _load_run(config_path)
     epochs = load_epochs(data_path)
-    run = from_dict(RunConfig, raw)
     if run.features:
         epochs = rpsd_features(epochs, run.feature_args)
     return epochs, run, run.model_config(epochs.n_channels, epochs.n_samples, epochs.n_classes)
@@ -133,10 +102,7 @@ def cmd_train(args) -> int:
     if args.print_config:
         sys.stdout.write(canonical_json(resolved))
         return 0
-    result = run_protocol(
-        epochs, run.protocol, model_cfg, run.train, align=run.align, n_folds=run.n_folds,
-        train_fraction=run.train_fraction, seeds=run.seeds,
-    )
+    result = run_protocol(epochs, run, model_cfg)
     jobs = result["folds"]
     params, flops = count_params_flops(model_cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -303,14 +269,16 @@ def cmd_split(args) -> int:
 
 def cmd_count(args) -> int:
     if args.data:
-        epochs = load_epochs(args.data)
-        geometry = (epochs.n_channels, epochs.n_samples, epochs.n_classes)
+        _, _, model_cfg = _prepare(args.data, args.config)
     elif None not in (args.channels, args.samples, args.classes):
-        geometry = (args.channels, args.samples, args.classes)
+        run = _load_run(args.config)
+        if run.features:
+            raise ConfigError("features: true needs --data: the feature geometry depends on "
+                              "the data's sampling rate")
+        model_cfg = run.model_config(args.channels, args.samples, args.classes)
     else:
         raise ConfigError("count needs --data or all of --channels/--samples/--classes")
-    run = from_dict(RunConfig, _load_json(args.config)) if args.config else RunConfig()
-    params, flops = count_params_flops(run.model_config(*geometry))
+    params, flops = count_params_flops(model_cfg)
     print(f"params={params} flops={flops}")
     return 0
 
@@ -377,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="print or save protocol fold indices")
     p.add_argument("--data", required=True)
     p.add_argument("--protocol", required=True, choices=PROTOCOLS)
-    p.add_argument("--n-folds", type=int, default=5)
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--n-folds", type=int, default=RunConfig.n_folds)
+    p.add_argument("--train-fraction", type=float, default=RunConfig.train_fraction)
     p.add_argument("--out")
     p.set_defaults(func=cmd_split)
 

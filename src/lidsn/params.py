@@ -225,7 +225,7 @@ class ParamSet:
             out[f"{site}.running_var"] = s.var
         return out
 
-    def load_values(self, values: dict[str, np.ndarray], dtype=np.float64) -> None:
+    def load_values(self, values: dict[str, np.ndarray], dtype) -> None:
         table = self.value_dict()
         missing = sorted(set(table) - set(values))
         extra = sorted(set(values) - set(table))

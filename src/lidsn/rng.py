@@ -15,7 +15,7 @@ import numpy as np
 class RngStream:
     """Counter-based random stream addressed by (seed, stream id)."""
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int):
         if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
             raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
         # a uint64 key is exact up to 2**64; a list of ints above 2**63 goes through float64
@@ -27,7 +27,7 @@ class RngStream:
     def normal(self, mean: float, std: float, shape=()) -> np.ndarray:
         return mean + std * self._gen.standard_normal(size=shape)
 
-    def bernoulli(self, p_true: float, shape=()) -> np.ndarray:
+    def bernoulli(self, p_true: float, shape) -> np.ndarray:
         """0/1 float mask with P(1) = p_true."""
         return (self._gen.random(size=shape) < p_true).astype(np.float64)
 

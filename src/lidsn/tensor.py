@@ -336,7 +336,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     return _record("sum", out, (x,), back)
 
 
-def reduce_mean(x: Tensor, axis=None) -> Tensor:
+def reduce_mean(x: Tensor, axis) -> Tensor:
     out = np.mean(x.data, axis=axis)
     shape, dtype = x.shape, x.dtype
     n = x.size if axis is None else shape[axis]
@@ -471,44 +471,34 @@ def batchnorm(x: Tensor, gain: Tensor, bias: Tensor, state: BatchNormState,
         if x.shape[0] < 2:
             raise ShapeError("batchnorm: train mode needs batch size >= 2")
         n_red = x.data.size // f
-        # two passes: the sum, then the sum of squares of the centered copy,
-        # which is normalized and given its affine in place
+        # two passes: the sum, then the sum of squares of the centered copy
         mu = np.einsum(f"{dims}->f", x.data) / n_red
         xhat = x.data - mu.reshape(shape_f)
         var = np.einsum(f"{dims},{dims}->f", xhat, xhat) / n_red
         state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
         state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        xhat *= inv.reshape(shape_f)
-        gd = gain.data
-        out = xhat * gd.reshape(shape_f)
-        out += bias.data.reshape(shape_f)
-
-        def back(g):
-            dgain = np.einsum(f"{dims},{dims}->f", g, xhat)
-            dbias = np.einsum(f"{dims}->f", g)
-            # dx = inv * gain * (g - dbias / n - xhat * dgain / n)
-            dx = xhat * (-dgain / n_red).reshape(shape_f)
-            dx += g
-            dx -= (dbias / n_red).reshape(shape_f)
-            dx *= (inv * gd).reshape(shape_f)
-            return dx, dgain, dbias
-
-        return _record("batchnorm", out, (x, gain, bias), back)
-
-    xd, gd = x.data, gain.data
-    mean, inv = state.mean, 1.0 / np.sqrt(state.var + NORM_EPS)
-    # one array, normalized in place: eval batches are the largest ones
-    out = xd - mean.reshape(shape_f)
-    out *= inv.reshape(shape_f)
-    out *= gd.reshape(shape_f)
+    else:
+        xhat = x.data - state.mean.reshape(shape_f)
+        var = state.var
+    # the centered copy is normalized in place; with no tape it also takes the
+    # affine, so an eval batch (the largest ones) allocates one array
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    xhat *= inv.reshape(shape_f)
+    gd = gain.data
+    taped = _taping((x, gain, bias)) is not None
+    out = np.multiply(xhat, gd.reshape(shape_f), out=None if taped else xhat)
     out += bias.data.reshape(shape_f)
 
     def back(g):
-        xhat = (xd - mean.reshape(shape_f)) * inv.reshape(shape_f)
         dgain = np.einsum(f"{dims},{dims}->f", g, xhat)
         dbias = np.einsum(f"{dims}->f", g)
-        dx = g * (gd * inv).reshape(shape_f)
+        if not training:
+            return g * (gd * inv).reshape(shape_f), dgain, dbias
+        # dx = inv * gain * (g - dbias / n - xhat * dgain / n)
+        dx = xhat * (-dgain / n_red).reshape(shape_f)
+        dx += g
+        dx -= (dbias / n_red).reshape(shape_f)
+        dx *= (inv * gd).reshape(shape_f)
         return dx, dgain, dbias
 
     return _record("batchnorm", out, (x, gain, bias), back)
@@ -530,7 +520,7 @@ def _window_adjoint(gwin: np.ndarray, stride: int, length: int) -> np.ndarray:
     return out.reshape(*lead, -1)[..., :length]
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int) -> Tensor:
     """Cross-correlation along time with 'same' zero padding.
 
     x: [N, Cin, T], w: [Cout, Cin, K] with K odd, b: [Cout].

@@ -4,12 +4,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
-from .data import EpochSet, euclidean_align, make_split
+from .config import ModelConfig, model_config_from_dict
+from .data import PROTOCOLS, EpochSet, FeatureArgs, euclidean_align, make_split
 from .errors import ConfigError, NumericError, ShapeError
 from .network import Model
 from .params import ParamSet, round_through_f32
@@ -46,6 +46,41 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run config file; ``model`` stays raw until the data geometry is known."""
+
+    model: dict = field(default_factory=dict)
+    train: TrainConfig = TrainConfig()
+    protocol: str = "CO"
+    align: bool = False
+    features: bool = False
+    feature_args: FeatureArgs = FeatureArgs()
+    n_folds: int = 5
+    train_fraction: float = 0.8
+    seeds: tuple[int, ...] = (0,)
+
+    def __post_init__(self):
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if self.n_folds < 2:
+            raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if not self.seeds or not all(0 <= s < SEED_LIMIT for s in self.seeds):
+            raise ConfigError(
+                f"seeds must be non-empty and >= 0 and < 2**64, got {list(self.seeds)}")
+
+    def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
+        """The model section, filled in for this data geometry and validated."""
+        return model_config_from_dict(self.model, n_channels=n_channels,
+                                      n_samples=n_samples, n_classes=n_classes)
+
+    def canonical(self, model: ModelConfig) -> dict:
+        """The canonical dict, with the model section replaced by the resolved one."""
+        return {**asdict(self), "model": asdict(model)}
 
 
 def class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -216,21 +251,20 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     reloaded on-disk snapshot reproduces final_train_acc exactly. With an
     empty validation set early stopping is disabled and the final epoch wins.
     """
+    n = len(y_train)
+    if n == 0:
+        raise ConfigError("training set is empty")
     model = Model.build(model_cfg, seed=seed)
     weights = class_weights(y_train, model_cfg.n_classes)
     shuffle = RngStream(seed, SHUFFLE_STREAM)
     drop_rng = RngStream(seed, DROPOUT_STREAM)
     opt = Adam(model.params, train_cfg)
     has_val = len(y_val) > 0
-    best_val = np.inf
+    best_val = np.inf  # epoch 1's finite validation loss always beats it
     best_epoch = 0
-    best_params = model.params.clone()
     bad_epochs = 0
     curves = []
     epochs_run = 0
-    n = len(y_train)
-    if n == 0:
-        raise ConfigError("training set is empty")
     for epoch in range(1, train_cfg.epochs + 1):
         epochs_run = epoch
         order = shuffle.permutation(n)
@@ -269,8 +303,7 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                         best_epoch, float(best_val), final["accuracy"])
 
 
-def validation_tail(train_idx: np.ndarray, subjects: np.ndarray,
-                    fraction: float = 0.1) -> tuple:
+def validation_tail(train_idx: np.ndarray, subjects: np.ndarray, fraction: float) -> tuple:
     """Carve a validation tail from each subject's training trials.
 
     Each subject contributes its last max(1, floor(fraction * n)) training
@@ -319,12 +352,6 @@ def thread_budget() -> int:
     return n
 
 
-def check_seeds(seeds: tuple[int, ...]) -> None:
-    """Job seeds: at least one, each in [0, SEED_LIMIT)."""
-    if not seeds or not all(0 <= s < SEED_LIMIT for s in seeds):
-        raise ConfigError(f"seeds must be non-empty and >= 0 and < 2**64, got {list(seeds)}")
-
-
 def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
              model_cfg: ModelConfig, train_cfg: TrainConfig, fold: int, seed: int,
              align: bool = False) -> FoldOutcome:
@@ -342,23 +369,21 @@ def run_fold(epochs_set: EpochSet, train_idx: np.ndarray, test_idx: np.ndarray,
                        seed, time.perf_counter() - t0)
 
 
-def run_protocol(epochs_set: EpochSet, protocol: str, model_cfg: ModelConfig,
-                 train_cfg: TrainConfig, align: bool = False, n_folds: int = 5,
-                 train_fraction: float = 0.8, seeds: tuple = (0,)) -> dict:
-    """Train and evaluate every (seed, fold) job of a protocol split.
+def run_protocol(epochs_set: EpochSet, run: RunConfig, model_cfg: ModelConfig) -> dict:
+    """Train and evaluate every (seed, fold) job of the run's protocol split.
 
     Each seed draws its own initialisation, shuffling and dropout. Jobs run in
     a thread pool sized by LIDSN_THREADS and are reduced seed-major,
     fold-minor, so the output does not depend on scheduling. Aggregates are
     mean and sample std (ddof=1, zero for a single job).
     """
-    check_seeds(seeds)
-    plan = make_split(epochs_set, protocol, n_folds=n_folds, train_fraction=train_fraction)
-    jobs = [(seed, k, tr, te) for seed in seeds for k, (tr, te) in enumerate(plan.folds)]
+    plan = make_split(epochs_set, run.protocol, n_folds=run.n_folds,
+                      train_fraction=run.train_fraction)
+    jobs = [(seed, k, tr, te) for seed in run.seeds for k, (tr, te) in enumerate(plan.folds)]
 
     def work(job):
         seed, k, tr, te = job
-        return run_fold(epochs_set, tr, te, model_cfg, train_cfg, k, seed, align=align)
+        return run_fold(epochs_set, tr, te, model_cfg, run.train, k, seed, align=run.align)
 
     workers = min(thread_budget(), len(jobs))
     if workers == 1:
@@ -374,7 +399,7 @@ def run_protocol(epochs_set: EpochSet, protocol: str, model_cfg: ModelConfig,
         return float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
     return {
-        "protocol": protocol,
+        "protocol": run.protocol,
         "folds": fold_outcomes,
         "mean_accuracy": float(accs.mean()),
         "std_accuracy": spread(accs),

@@ -25,7 +25,7 @@ def write_csv(path, header: list, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def matrix_csv(path, matrix: np.ndarray, row_label: str = "row") -> None:
+def matrix_csv(path, matrix: np.ndarray, row_label: str) -> None:
     """Matrix with a leading row-index column and col0..colN-1 header."""
     matrix = np.asarray(matrix)
     if matrix.ndim == 1:

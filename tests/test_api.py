@@ -104,17 +104,18 @@ def _keyword_defaults(fn: ast.FunctionDef, bound: int) -> dict:
     return params
 
 
-def test_every_keyword_default_is_overridden_by_a_package_call():
-    # a default that every call leaves alone is a constant with a knob on it;
-    # a call overrides it by passing a different literal or another expression.
-    # Public functions, public methods and constructors of every module count;
-    # a call names its callee by its last attribute, and a class call is its
-    # __init__. The grad-check battery calls every primitive, so its calls
-    # (gradcheck.primitive_cases) do not count
-    package = Path(lidsn.__file__).parent
-    defaults = {}  # callee name -> {parameter: (position or None, default)}
-    where = {}  # callee name -> module
-    for path in sorted(package.glob("*.py")):
+PACKAGE = Path(lidsn.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _public_keyword_defaults() -> tuple[dict, dict]:
+    """{callee name: {parameter: (position or None, default)}} and {callee name: module}.
+
+    Public functions, public methods and constructors of every module count;
+    a callee is named by its last attribute, and a class by its __init__.
+    """
+    defaults, where = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 found = [(node.name, node, 0)]
@@ -130,26 +131,64 @@ def test_every_keyword_default_is_overridden_by_a_package_call():
                 if params:
                     defaults.setdefault(name, {}).update(params)
                     where[name] = path.stem
-    overridden = set()
-    for path in sorted(package.glob("*.py")):
+    return defaults, where
+
+
+def _calls(paths):
+    """(callee name, call node) for every call in these files. The grad-check
+    battery calls every primitive, so its calls (gradcheck.primitive_cases)
+    do not count."""
+    for path in paths:
         for top in ast.parse(path.read_text()).body:
-            if path.name == "gradcheck.py" and getattr(top, "name", None) == "primitive_cases":
+            if path.parent == PACKAGE and path.name == "gradcheck.py" \
+                    and getattr(top, "name", None) == "primitive_cases":
                 continue
             for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                f = node.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                unpacked = (any(isinstance(v, ast.Starred) for v in node.args)
-                            or any(kw.arg is None for kw in node.keywords))
-                for param, (pos, default) in defaults.get(name, {}).items():
-                    passed = [kw.value for kw in node.keywords if kw.arg == param]
-                    if pos is not None and pos < len(node.args):
-                        passed.append(node.args[pos])
-                    if unpacked or any(_literal(v) != default for v in passed):
-                        overridden.add((name, param))
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    yield f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None), node
+
+
+def _passed(node: ast.Call, param: str, pos) -> list | None:
+    """The argument expressions a call passes for a parameter, or None when
+    it unpacks *args or **kwargs and so may pass anything."""
+    if (any(isinstance(v, ast.Starred) for v in node.args)
+            or any(kw.arg is None for kw in node.keywords)):
+        return None
+    passed = [kw.value for kw in node.keywords if kw.arg == param]
+    if pos is not None and pos < len(node.args):
+        passed.append(node.args[pos])
+    return passed
+
+
+def test_every_keyword_default_is_overridden_by_a_package_call():
+    # a default that every call leaves alone is a constant with a knob on it;
+    # a call overrides it by passing a different literal or another expression
+    defaults, where = _public_keyword_defaults()
+    overridden = set()
+    for name, node in _calls(sorted(PACKAGE.glob("*.py"))):
+        for param, (pos, default) in defaults.get(name, {}).items():
+            passed = _passed(node, param, pos)
+            if passed is None or any(_literal(v) != default for v in passed):
+                overridden.add((name, param))
     never = [f"{where[name]}.{name}.{param}" for name, params in sorted(defaults.items())
              for param in params if (name, param) not in overridden]
+    assert never == []
+
+
+def test_every_keyword_default_is_left_out_by_some_call():
+    # the dual: a default that every call passes anyway is a required
+    # parameter in disguise, and a call that forgets it gets a silent value
+    # (a float32 model's parameters loaded as float64, say). Calls in the
+    # package, perfbench and the tests count
+    defaults, where = _public_keyword_defaults()
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    left_out = {(name, param) for name, node in _calls(paths)
+                for param, (pos, _) in defaults.get(name, {}).items()
+                if _passed(node, param, pos) == []}
+    never = [f"{where[name]}.{name}.{param}" for name, params in sorted(defaults.items())
+             for param in params if (name, param) not in left_out]
     assert never == []
 
 

@@ -225,6 +225,23 @@ def test_count_requires_geometry(capsys):
     assert capsys.readouterr().err.startswith("error[config]:")
 
 
+def test_count_with_data_counts_the_model_train_builds(work, capsys):
+    # one 1 s segment per trial, three sub-windows of 7 bands: 3 channels x 21
+    cfg_path = work["root"] / "features-run.json"
+    cfg_path.write_text(json.dumps(dict(RUN_CONFIG, features=True, feature_args={
+        "outer_window_s": 1.0, "outer_overlap": 0.0, "inner_window_s": 0.5,
+        "inner_overlap": 0.5})))
+    out = work["root"] / "features-run"
+    assert main(["train", "--data", str(work["data"]), "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    raw = json.loads((work["out"] / "report.json").read_text())
+    assert (report["params"], report["flops"]) != (raw["params"], raw["flops"])
+    capsys.readouterr()
+    assert main(["count", "--data", str(work["data"]), "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == f"params={report['params']} flops={report['flops']}\n"
+
+
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--seed", "0", "--max-coords", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -335,6 +352,8 @@ BAD_CONFIGS = {
                                     "model.spatial_pool_stride"),
     "fusion_width_zero_train": ("train", _model(embed_dim=1, n_heads=1), "fusion"),
     "fusion_width_zero_count": ("count", {"model": {"embed_dim": 1, "n_heads": 1}}, "fusion"),
+    # the feature geometry needs the data's sampling rate, which flags do not give
+    "features_count_without_data": ("count", {"features": True}, "features"),
     # checked even with "features" false, where the feature stage never runs
     "feature_overlap_out_of_range": ("train", dict(RUN_CONFIG, feature_args={
         "outer_overlap": 5.0, "inner_window_s": -1.0}), "outer overlap"),
@@ -445,9 +464,9 @@ def _tampered_snapshot(work, name, value):
     from lidsn.config import ModelConfig
     from lidsn.params import init_params, load_snapshot, save_snapshot
 
-    ps = init_params(ModelConfig(n_channels=3, n_samples=40, n_classes=2,
-                                 **RUN_CONFIG["model"]), seed=0)
-    ps.load_values(load_snapshot(work["out"] / "model.bin"))
+    cfg = ModelConfig(n_channels=3, n_samples=40, n_classes=2, **RUN_CONFIG["model"])
+    ps = init_params(cfg, seed=0)
+    ps.load_values(load_snapshot(work["out"] / "model.bin"), dtype=cfg.np_dtype)
     ps.value_dict()[name].flat[0] = value
     path = work["root"] / f"tampered-{name}.bin"
     save_snapshot(path, ps)

@@ -614,7 +614,7 @@ def test_snapshot_roundtrip_preserves_logits(tmp_path, tiny_cfg):
     path = tmp_path / "m.bin"
     save_snapshot(path, model.params)
     reloaded = Model.build(tiny_cfg, seed=999)
-    reloaded.params.load_values(load_snapshot(path))
+    reloaded.params.load_values(load_snapshot(path), dtype=tiny_cfg.np_dtype)
     assert np.array_equal(reloaded.forward(x[None]).data, base)
 
 

@@ -305,6 +305,25 @@ def test_batchnorm_channelled_layout():
     assert np.allclose(out.data, expected, atol=1e-13)
 
 
+def test_untaped_eval_batchnorm_allocates_one_output():
+    """With no tape, eval batchnorm normalizes and applies the affine in its
+    output's buffer. The finiteness check's bool mask adds an eighth of a
+    float64 input."""
+    x = Tensor(rnd(4, 40, 512, seed=27))
+    gain, bias = Tensor(rnd(40, seed=28)), Tensor(rnd(40, seed=29))
+    state = BatchNormState(40, np.float64)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            y = tz.batchnorm(x, gain, bias, state, False)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert not y.requires_grad
+    assert peak < 1.2 * x.data.nbytes, peak / x.data.nbytes
+
+
 def test_dropout_eval_is_identity():
     x = rnd(4, 5, seed=26)
     out = tz.dropout(Tensor(x), 0.5, None, training=False)
@@ -681,10 +700,10 @@ def test_tensor_promotes_non_float_dtypes_to_f64():
 @pytest.mark.parametrize("op", ["conv1d", "conv1d_pointwise", "conv1d_depthwise"])
 def test_conv_rejects_input_that_is_not_3d(op):
     x = Tensor(np.ones((3, 8)))
-    w, b = {"conv1d": ((4, 3, 3), 4), "conv1d_pointwise": ((4, 3), 4),
-            "conv1d_depthwise": ((3, 3), 3)}[op]
+    w, b, stride = {"conv1d": ((4, 3, 3), 4, (1,)), "conv1d_pointwise": ((4, 3), 4, ()),
+                    "conv1d_depthwise": ((3, 3), 3, ())}[op]
     with pytest.raises(ShapeError) as err:
-        getattr(tz, op)(x, Tensor(np.ones(w)), Tensor(np.zeros(b)))
+        getattr(tz, op)(x, Tensor(np.ones(w)), Tensor(np.zeros(b)), *stride)
     assert "(3, 8)" in str(err.value) and str(w) in str(err.value)
 
 

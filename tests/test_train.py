@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidsn import training
 from lidsn.config import ModelConfig, from_dict
 from lidsn.data import ClassRecipe, EpochSet, SynthSpec, synth_generate
 from lidsn.errors import ConfigError, NumericError
@@ -17,6 +16,7 @@ from lidsn.rng import RngStream
 from lidsn.tensor import Tape, Tensor, backward
 from lidsn.training import (
     Adam,
+    RunConfig,
     TrainConfig,
     _batches,
     class_weights,
@@ -263,6 +263,13 @@ def test_train_without_validation_runs_all_epochs(tiny_cfg):
     assert all("val_loss" not in row for row in out.curves)
 
 
+def test_train_rejects_an_empty_training_set_by_name(tiny_cfg):
+    # named before the class weights, which would blame a missing class
+    e = tiny_data(tiny_cfg)
+    with pytest.raises(ConfigError, match="^training set is empty$"):
+        train_model(tiny_cfg, TrainConfig(), e.data[:0], e.labels[:0], e.data, e.labels)
+
+
 def test_train_restores_best_snapshot(tiny_cfg):
     e = tiny_data(tiny_cfg)
     cfg = TrainConfig(epochs=6, patience=2, batch_size=8)
@@ -388,11 +395,12 @@ def test_thread_budget_env(monkeypatch):
 
 def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch):
     e = tiny_data(tiny_cfg, trials=10)
-    cfg = TrainConfig(epochs=2, patience=2, batch_size=8)
+    run = RunConfig(train=TrainConfig(epochs=2, patience=2, batch_size=8), protocol="CV",
+                    n_folds=2, seeds=(8,))
     monkeypatch.setenv("LIDSN_THREADS", "1")
-    a = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2, seeds=(8,))
+    a = run_protocol(e, run, tiny_cfg)
     monkeypatch.setenv("LIDSN_THREADS", "2")
-    b = run_protocol(e, "CV", tiny_cfg, cfg, n_folds=2, seeds=(8,))
+    b = run_protocol(e, run, tiny_cfg)
     assert a["mean_accuracy"] == b["mean_accuracy"]
     assert a["std_accuracy"] == b["std_accuracy"]
     fold_accs = [f.metrics["accuracy"] for f in a["folds"]]
@@ -407,18 +415,16 @@ def test_run_protocol_thread_count_does_not_change_results(tiny_cfg, monkeypatch
 
 
 @pytest.mark.parametrize("seeds", [(), (0, -1)])
-def test_run_protocol_rejects_bad_seeds_before_any_job(tiny_cfg, monkeypatch, seeds):
-    started = []
-    monkeypatch.setattr(training, "run_fold", lambda *a, **kw: started.append(a))
+def test_run_config_rejects_bad_seeds(seeds):
+    # a run that could reach run_protocol has valid seeds: the check is the config's
     with pytest.raises(ConfigError, match="seeds must be non-empty and >= 0"):
-        run_protocol(tiny_data(tiny_cfg, trials=10), "CO", tiny_cfg, TrainConfig(), seeds=seeds)
-    assert started == []
+        RunConfig(seeds=seeds)
 
 
 def test_run_protocol_reports_aggregates(tiny_cfg):
     e = tiny_data(tiny_cfg, trials=10)
-    cfg = TrainConfig(epochs=2, patience=2, batch_size=8)
-    rep = run_protocol(e, "CO", tiny_cfg, cfg, train_fraction=0.8, seeds=(9,))
+    run = RunConfig(train=TrainConfig(epochs=2, patience=2, batch_size=8), seeds=(9,))
+    rep = run_protocol(e, run, tiny_cfg)
     assert rep["protocol"] == "CO" and len(rep["folds"]) == 1
     f = rep["folds"][0]
     assert f.n_train + f.n_val == 16 and f.n_test == 4
