@@ -85,19 +85,30 @@ class EpochSet:
         return self.data.shape[2]
 
 
+def _header_problem(n_trials: int, n_channels: int, n_samples: int, fs: float,
+                    n_classes: int) -> str | None:
+    """What an EEGB header cannot hold of these fields, or None if it holds them all."""
+    for name, value, low, high in (("n_trials", n_trials, 0, 0xFFFFFFFF),
+                                   ("n_channels", n_channels, 1, 0xFFFF),
+                                   ("n_samples", n_samples, 1, 0xFFFFFFFF),
+                                   ("n_classes", n_classes, 1, 0xFFFF)):
+        if not low <= value <= high:
+            return f"{name}={value} is outside [{low}, {high}]"
+    with np.errstate(over="ignore"):
+        fs32 = np.float32(fs)  # the header stores fs as float32
+    if not 0 < fs32 < np.inf:
+        return f"fs={fs} is not positive and finite as float32"
+    return None
+
+
 def save_epochs(path, epochs: EpochSet) -> None:
     for name, arr in (("labels", epochs.labels), ("subjects", epochs.subjects)):
         if arr.size and arr.max() > 0xFFFF:
             raise DataFormatError("bad_field", f"{name} exceed u16 range")
-    for name, v in (("n_trials", epochs.n_trials), ("n_channels", epochs.n_channels),
-                    ("n_samples", epochs.n_samples), ("n_classes", epochs.n_classes)):
-        limit = 0xFFFFFFFF if name in ("n_trials", "n_samples") else 0xFFFF
-        if v > limit:
-            raise DataFormatError("bad_field", f"{name}={v} exceeds format range")
-    with np.errstate(over="ignore"):
-        fs32 = np.float32(epochs.fs)  # the header stores fs as float32
-    if not 0 < fs32 < np.inf:
-        raise DataFormatError("bad_field", f"fs={epochs.fs} is not positive and finite as float32")
+    problem = _header_problem(epochs.n_trials, epochs.n_channels, epochs.n_samples, epochs.fs,
+                              epochs.n_classes)
+    if problem:
+        raise DataFormatError("bad_field", problem)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(EEGB_MAGIC, EEGB_VERSION, epochs.n_trials, epochs.n_channels,
                               epochs.n_samples, epochs.fs, epochs.n_classes))
@@ -123,12 +134,9 @@ def load_epochs(path) -> EpochSet:
             raise DataFormatError("bad_magic", f"bad magic {magic!r}, expected {EEGB_MAGIC!r}")
         if version != EEGB_VERSION:
             raise DataFormatError("bad_version", f"unsupported format version {version}")
-        if n_channels == 0 or n_samples == 0 or n_classes == 0 or not (fs > 0):
-            raise DataFormatError(
-                "bad_field",
-                f"invalid header fields: n_channels={n_channels} n_samples={n_samples} "
-                f"n_classes={n_classes} fs={fs}",
-            )
+        problem = _header_problem(n_trials, n_channels, n_samples, fs, n_classes)
+        if problem:
+            raise DataFormatError("bad_field", problem)
         have = size - _HEADER.size
         need = n_trials * 2 * 2 + n_trials * n_channels * n_samples * 4
         if have < need:
@@ -147,7 +155,8 @@ def load_epochs(path) -> EpochSet:
             if fh.readinto(part) != part.nbytes:  # the file shrank after its size was read
                 raise DataFormatError("truncated_payload", f"payload ends before {need} bytes")
             bad += part.size - np.count_nonzero(np.isfinite(part, out=finite[: part.size]))
-            flat[i : i + part.size] = part
+            if not bad:  # a refused set needs no widening, which warns on a signaling NaN
+                flat[i : i + part.size] = part
     if bad:
         raise DataFormatError("non_finite", f"payload has {bad} non-finite samples")
     return EpochSet(data, labels, subjects, float(fs), int(n_classes))
@@ -186,22 +195,15 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_subjects < 1 or self.trials_per_subject < 1:
             raise ConfigError("need at least one subject and one trial per subject")
-        if self.n_channels < 1 or self.n_samples < 2:
-            raise ConfigError("need n_channels >= 1 and n_samples >= 2")
-        # files store subject ids and n_channels as u16, n_samples and n_trials as u32
-        for name, value, limit in (
-                ("n_subjects", self.n_subjects, 0x10000), ("n_channels", self.n_channels, 0xFFFF),
-                ("n_samples", self.n_samples, 0xFFFFFFFF),
-                ("n_subjects * trials_per_subject", self.n_subjects * self.trials_per_subject,
-                 0xFFFFFFFF)):
-            if value > limit:
-                raise ConfigError(f"{name} must be at most {limit}, got {value}")
-        with np.errstate(over="ignore"):
-            fs32 = np.float32(self.fs)  # files store fs as float32
-        if not 0 < fs32 < np.inf:
-            raise ConfigError(f"fs must be positive and finite as float32, got {self.fs}")
-        if not 2 <= len(self.classes) <= 0xFFFF:  # files store n_classes as u16
-            raise ConfigError(f"classes must hold 2 to 65535 recipes, got {len(self.classes)}")
+        if self.n_subjects > 0x10000:  # files store subject ids as u16
+            raise ConfigError(f"n_subjects must be at most 65536, got {self.n_subjects}")
+        if len(self.classes) < 2:
+            raise ConfigError(f"classes must hold at least 2 recipes, got {len(self.classes)}")
+        problem = _header_problem(self.n_subjects * self.trials_per_subject, self.n_channels,
+                                  self.n_samples, self.fs, len(self.classes))
+        if problem:
+            raise ConfigError(f"an EEGB file cannot store this set: {problem} (n_trials is "
+                              f"n_subjects * trials_per_subject, n_classes is len(classes))")
         for i, r in enumerate(self.classes):
             bad = [c for c in r.channels if not 0 <= c < self.n_channels]
             if bad:

@@ -13,6 +13,7 @@ integration_mode and use_tsia change which blocks exist.
 """
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .tensor import BatchNormState, Tensor
 
 SNAPSHOT_MAGIC = b"LDSN"
 SNAPSHOT_VERSION = 1
+SNAPSHOT_MAX_RANK = 32  # the most dims numpy 1.24 can build
 
 INIT_STREAM = 0
 
@@ -293,39 +295,47 @@ def save_snapshot(path, params: ParamSet) -> None:
 
 
 def load_snapshot(path) -> dict[str, np.ndarray]:
+    """Every entry by name; any corruption is a DataFormatError of a snapshot_* kind."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
+    off = 0
 
-    def need(n: int, off: int) -> int:
+    def take(n: int) -> memoryview:
+        """The next n bytes; a short read names the offset where it starts."""
+        nonlocal off
         if off + n > len(blob):
             raise DataFormatError("snapshot_truncated", f"snapshot truncated at byte {off}")
-        return off + n
+        off += n
+        return blob[off - n : off]
 
-    off = need(4, 0)
-    if blob[0:4] != SNAPSHOT_MAGIC:
-        raise DataFormatError("snapshot_bad_magic", f"bad snapshot magic {blob[0:4]!r}")
-    off2 = need(6, off)
-    version, n_entries = struct.unpack_from("<HI", blob, off)
-    off = off2
+    magic = bytes(take(4))
+    if magic != SNAPSHOT_MAGIC:
+        raise DataFormatError("snapshot_bad_magic", f"bad snapshot magic {magic!r}")
+    version, n_entries = struct.unpack("<HI", take(6))
     if version != SNAPSHOT_VERSION:
         raise DataFormatError("snapshot_bad_version", f"unsupported snapshot version {version}")
     out: dict[str, np.ndarray] = {}
     for _ in range(n_entries):
-        off2 = need(2, off)
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off = need(name_len, off2)
-        name = blob[off2:off].decode("utf-8")
-        off2 = need(1, off)
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off = need(4 * ndim, off2)
-        shape = struct.unpack_from(f"<{ndim}I", blob, off2)
-        count = int(np.prod(shape)) if ndim else 1
-        off2 = need(4 * count, off)
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise DataFormatError("snapshot_non_finite", f"snapshot entry {name} holds non-finite values")
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError("snapshot_bad_name", f"snapshot entry name at byte "
+                                  f"{off - name_len} is not UTF-8") from None
+        (ndim,) = take(1)
+        if ndim > SNAPSHOT_MAX_RANK:
+            raise DataFormatError("snapshot_bad_shape", f"snapshot entry {name}: rank {ndim} "
+                                  f"exceeds {SNAPSHOT_MAX_RANK}")
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        try:  # only a zero-size shape fails here: numpy cannot index its other dims
+            arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        except ValueError:
+            raise DataFormatError("snapshot_bad_shape", f"snapshot entry {name}: numpy "
+                                  f"cannot hold shape {shape}") from None
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:
+            raise DataFormatError("snapshot_non_finite",
+                                  f"snapshot entry {name} holds non-finite values")
         out[name] = arr.copy()
-        off = off2
     if off != len(blob):
         raise DataFormatError("snapshot_trailing_data", f"{len(blob) - off} trailing bytes")
     return out

@@ -69,9 +69,10 @@ class RunConfig:
             raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        if not self.seeds or not all(0 <= s < SEED_LIMIT for s in self.seeds):
-            raise ConfigError(
-                f"seeds must be non-empty and >= 0 and < 2**64, got {list(self.seeds)}")
+        if (not self.seeds or not all(0 <= s < SEED_LIMIT for s in self.seeds)
+                or len(set(self.seeds)) < len(self.seeds)):
+            raise ConfigError(f"seeds must be non-empty and >= 0 and < 2**64 and distinct, "
+                              f"got {list(self.seeds)}")
 
     def model_config(self, n_channels: int, n_samples: int, n_classes: int) -> ModelConfig:
         """The model section, filled in for this data geometry and validated."""
@@ -166,8 +167,8 @@ class Adam:
 def confusion_matrix(labels: np.ndarray, predictions: np.ndarray, n_classes: int) -> np.ndarray:
     """Counts with true class on rows, predicted class on columns."""
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for y, p in zip(np.asarray(labels, dtype=np.int64), np.asarray(predictions, dtype=np.int64)):
-        conf[y, p] += 1
+    rows, cols = np.asarray(labels, dtype=np.int64), np.asarray(predictions, dtype=np.int64)
+    np.add.at(conf, (rows, cols), 1)
     return conf
 
 
@@ -177,27 +178,24 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
     k = conf.shape[0]
     total = conf.sum()
     acc = float(np.trace(conf) / total) if total else 0.0
-    precision, recall, f1 = [], [], []
-    for c in range(k):
-        tp = conf[c, c]
-        fp = conf[:, c].sum() - tp
-        fn = conf[c, :].sum() - tp
-        p = float(tp / (tp + fp)) if (tp + fp) else 0.0
-        r = float(tp / (tp + fn)) if (tp + fn) else 0.0
-        f = float(2.0 * p * r / (p + r)) if (p + r) else 0.0
-        precision.append(p)
-        recall.append(r)
-        f1.append(f)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(k), where=den > 0)
+
+    tp = np.diag(conf)
+    precision = ratio(tp, conf.sum(axis=0))
+    recall = ratio(tp, conf.sum(axis=1))
+    f1 = ratio(2.0 * precision * recall, precision + recall)
     out = {
         "accuracy": acc,
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
+        "precision": precision.tolist(),
+        "recall": recall.tolist(),
+        "f1": f1.tolist(),
         "macro_f1": float(np.mean(f1)),
         "confusion": conf.tolist(),
     }
     if k == 2:
-        out["f1_positive"] = f1[1]
+        out["f1_positive"] = out["f1"][1]
     return out
 
 

@@ -28,10 +28,8 @@ def write_csv(path, header: list, rows: list) -> None:
 def matrix_csv(path, matrix: np.ndarray, row_label: str) -> None:
     """Matrix with a leading row-index column and col0..colN-1 header."""
     matrix = np.asarray(matrix)
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
     if matrix.ndim != 2:
-        raise ShapeError(f"expected a 1-d or 2-d array, got shape {matrix.shape}")
+        raise ShapeError(f"expected a 2-d array, got shape {matrix.shape}")
     header = [row_label] + [f"col{j}" for j in range(matrix.shape[1])]
     rows = [[i] + [float(v) for v in matrix[i]] for i in range(matrix.shape[0])]
     write_csv(path, header, rows)
@@ -44,30 +42,17 @@ def _ramp(value: float) -> str:
     return f"#{r:02x}{g:02x}00"
 
 
-def heatmap_svg(matrix: np.ndarray) -> str:
-    """Min-max normalized heatmap, one rect per cell; constant input paints black."""
+def save_heatmap(path, matrix: np.ndarray) -> None:
+    """Min-max normalized SVG heatmap, one rect per cell; constant input paints black."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
     if matrix.ndim != 2:
-        raise ShapeError(f"expected a 1-d or 2-d array, got shape {matrix.shape}")
+        raise ShapeError(f"expected a 2-d array, got shape {matrix.shape}")
     lo, hi = matrix.min(), matrix.max()
     norm = (matrix - lo) / (hi - lo) if hi > lo else np.zeros_like(matrix)
     n_rows, n_cols = matrix.shape
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{n_cols * CELL}" '
-        f'height="{n_rows * CELL}" shape-rendering="crispEdges">'
-    ]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            parts.append(
-                f'<rect x="{j * CELL}" y="{i * CELL}" width="{CELL}" height="{CELL}" '
-                f'fill="{_ramp(float(norm[i, j]))}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def save_heatmap(path, matrix: np.ndarray) -> None:
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{n_cols * CELL}" '
+           f'height="{n_rows * CELL}" shape-rendering="crispEdges">')
+    cells = (f'<rect x="{j * CELL}" y="{i * CELL}" width="{CELL}" height="{CELL}" '
+             f'fill="{_ramp(float(norm[i, j]))}"/>' for i in range(n_rows) for j in range(n_cols))
     with open(path, "w", newline="") as fh:
-        fh.write(heatmap_svg(matrix))
+        fh.write("\n".join([svg, *cells, "</svg>"]) + "\n")

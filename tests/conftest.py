@@ -52,6 +52,29 @@ def tiny_cfg():
     )
 
 
+@pytest.fixture
+def corruptions():
+    """Rewrite a file in place into each corruption at the given offsets (the
+    file cut there, and that byte set to 0x00, to 0xFF and to its bitwise
+    NOT), yielding each case's id while the file holds it."""
+
+    def cases(path, offsets):
+        blob = path.read_bytes()
+        with open(path, "r+b") as fh:
+            for i in offsets:
+                edits = [(f"cut@{i}", blob[:i])] + [
+                    (f"{value:#04x}@{i}", blob[:i] + bytes([value]) + blob[i + 1:])
+                    for value in sorted({0x00, 0xFF, blob[i] ^ 0xFF} - {blob[i]})]
+                for case, bad in edits:
+                    fh.seek(0)
+                    fh.write(bad)
+                    fh.truncate()
+                    fh.flush()
+                    yield case
+
+    return cases
+
+
 def rand(rng_seed: int, *shape) -> np.ndarray:
     from lidsn.rng import RngStream
 

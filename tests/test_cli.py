@@ -3,6 +3,7 @@ import argparse
 import json
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,22 @@ def test_non_finite_payload_exits_2(work, capsys):
     assert err.startswith("error[non_finite]:") and err.count("\n") == 1
 
 
+def test_signaling_nan_payload_exits_2_with_one_line(work, capsys):
+    # widening a signaling NaN to float64 warns; the set is refused anyway
+    samples = np.arange(12, dtype="<f4")
+    samples.view("<u4")[5] = 0x7FA00000
+    bad = work["root"] / "snan.eegb"
+    bad.write_bytes(struct.pack("<4sHIHIfH", b"EEGB", 1, 2, 2, 3, 100.0, 2)
+                    + np.array([0, 1, 0, 0], dtype="<u2").tobytes() + samples.tobytes())
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["split", "--data", str(bad), "--protocol", "CO"]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error[non_finite]:") and err.count("\n") == 1, err
+
+
 def test_bad_config_exits_1(work, capsys):
     cfg = work["root"] / "bad_cfg.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))
@@ -339,6 +356,8 @@ BAD_CONFIGS = {
     "seeds_negative": ("train", dict(RUN_CONFIG, seeds=[-1]), "seeds"),
     # Philox keys a stream by a 64-bit seed word
     "seeds_2_64": ("train", dict(RUN_CONFIG, seeds=[0, 2**64]), "seeds"),
+    # two jobs of one seed would write one directory and a spread of one job
+    "seeds_repeated": ("train", dict(RUN_CONFIG, seeds=[0, 0]), "seeds"),
     # job seeds come only from "seeds"; removed knobs fail as unknown keys
     "train_seed": ("train", _train(seed=5), "train.seed"),
     "bn_eps_removed": ("train", _model(bn_eps=-1.0), "model.bn_eps"),
@@ -484,6 +503,34 @@ def test_snapshot_bad_value_exits_2(work, capsys, name, value, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"error[{kind}]:") and name in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case, kind", [("name_not_utf8", "snapshot_bad_name"),
+                                        ("rank_200", "snapshot_bad_shape"),
+                                        ("empty_shape_too_big", "snapshot_bad_shape"),
+                                        ("count_wraps_int64", "snapshot_truncated")])
+def test_corrupt_snapshot_entry_header_exits_2(work, capsys, case, kind):
+    # the trained model.bin with its first entry's header rewritten
+    blob = (work["out"] / "model.bin").read_bytes()
+    (name_len,) = struct.unpack_from("<H", blob, 10)
+    name, rank = blob[12 : 12 + name_len], blob[12 + name_len]
+    dims_stop = 13 + name_len + 4 * rank
+    name, rank, dims = {
+        "name_not_utf8": (b"\xff" + name[1:], rank, blob[13 + name_len : dims_stop]),
+        "rank_200": (name, 200, blob[13 + name_len : dims_stop]),
+        # no values, but numpy cannot index the other dims
+        "empty_shape_too_big": (name, 4, struct.pack("<4I", 0, *[2**32 - 1] * 3)),
+        # 2**31 * 2**31 * 4 elements wrap an int64 count to 0
+        "count_wraps_int64": (name, 3, struct.pack("<3I", 2**31, 2**31, 4)),
+    }[case]
+    bad = work["root"] / f"snapshot-{case}.bin"
+    bad.write_bytes(blob[:10] + struct.pack("<H", len(name)) + name + bytes([rank]) + dims
+                    + blob[dims_stop:])
+    capsys.readouterr()
+    assert main(["eval", "--data", str(work["data"]), "--model", str(bad),
+                 "--config", str(work["cfg"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1, err
 
 
 def test_docs_name_exactly_the_cli_subcommands():

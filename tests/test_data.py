@@ -284,6 +284,24 @@ def test_corrupt_zero_channel_header(tmp_path):
     assert e.value.kind == "bad_field"
 
 
+def test_every_truncation_and_byte_flip_loads_or_fails_typed(tmp_path, corruptions):
+    # 4 trials of 3 x 8 samples: a 422-byte file, every byte of it corrupted
+    spec = small_spec(trials_per_subject=2, n_channels=3, n_samples=8, fs=8.0,
+                      classes=(ClassRecipe(1.0, (0,)), ClassRecipe(2.0, (1,))))
+    path = tmp_path / "e.eegb"
+    save_epochs(path, synth_generate(spec, seed=0))
+    assert path.stat().st_size == 422
+    failures = []
+    for case in corruptions(path, range(422)):
+        try:
+            load_epochs(path)
+        except DataFormatError:
+            pass
+        except Exception as exc:  # any other exception is a failure
+            failures.append(f"{case}: {exc!r}")
+    assert not failures, failures[:5]
+
+
 def test_save_rejects_u16_overflow(tmp_path):
     e = EpochSet(np.zeros((1, 1, 2)), np.array([0]), np.array([70000]), 10.0, 1)
     with pytest.raises(DataFormatError) as exc:
@@ -291,11 +309,15 @@ def test_save_rejects_u16_overflow(tmp_path):
     assert exc.value.kind == "bad_field"
 
 
-@pytest.mark.parametrize("n_classes, fs", [(0x10000, 10.0), (2, 1e300), (2, 1e-300)],
-                         ids=["n_classes_above_u16", "fs_f32_overflow", "fs_f32_underflow"])
-def test_save_rejects_header_fields_out_of_range_before_writing(tmp_path, n_classes, fs):
-    # the header stores n_classes as u16 and fs as f32; a bad field leaves no file
-    e = EpochSet(np.zeros((1, 1, 2)), np.array([0]), np.array([0]), fs, n_classes)
+@pytest.mark.parametrize("shape, n_classes, fs", [
+    ((1, 1, 2), 0x10000, 10.0), ((1, 1, 2), 2, 1e300), ((1, 1, 2), 2, 1e-300),
+    ((1, 0, 2), 2, 10.0), ((1, 1, 0), 2, 10.0),
+], ids=["n_classes_above_u16", "fs_f32_overflow", "fs_f32_underflow", "zero_channels",
+        "zero_samples"])
+def test_save_rejects_header_fields_out_of_range_before_writing(tmp_path, shape, n_classes, fs):
+    # the header stores n_classes as u16 and fs as f32, and load refuses a file
+    # with no channel or no sample; a bad field leaves no file
+    e = EpochSet(np.zeros(shape), np.array([0]), np.array([0]), fs, n_classes)
     path = tmp_path / "x.eegb"
     with pytest.raises(DataFormatError) as exc:
         save_epochs(path, e)

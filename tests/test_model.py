@@ -3,6 +3,9 @@
 Every oracle below is an independent re-derivation in plain numpy; none of
 them call the package's tensor ops.
 """
+import math
+import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +16,7 @@ from scipy.special import erf
 
 from lidsn import tensor as tz
 from lidsn.config import ModelConfig
-from lidsn.errors import ShapeError
+from lidsn.errors import DataFormatError, ShapeError
 from lidsn.gradcheck import clear_input_draw
 from lidsn.network import (
     Model,
@@ -616,6 +619,65 @@ def test_snapshot_roundtrip_preserves_logits(tmp_path, tiny_cfg):
     reloaded = Model.build(tiny_cfg, seed=999)
     reloaded.params.load_values(load_snapshot(path), dtype=tiny_cfg.np_dtype)
     assert np.array_equal(reloaded.forward(x[None]).data, base)
+
+
+def _snapshot_layout(blob: bytes) -> tuple[list, list]:
+    """Offsets of the file header and every entry-header byte, and each entry's
+    float32 value range, walked independently of load_snapshot."""
+    headers, payloads = list(range(10)), []
+    off = 10
+    for _ in range(struct.unpack_from("<I", blob, 6)[0]):
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        ndim = blob[off + 2 + name_len]
+        stop = off + 3 + name_len + 4 * ndim
+        headers += range(off, stop)
+        off = stop + 4 * math.prod(struct.unpack_from(f"<{ndim}I", blob, stop - 4 * ndim))
+        payloads.append(range(stop, off))
+    assert off == len(blob)
+    return headers, payloads
+
+
+def test_every_snapshot_truncation_and_byte_flip_loads_or_fails_typed(tmp_path, tiny_cfg,
+                                                                      corruptions):
+    # every header and entry-header byte, and all four bytes of every 23rd float
+    path = tmp_path / "m.bin"
+    save_snapshot(path, init_params(tiny_cfg, seed=4))
+    blob = path.read_bytes()
+    assert len(blob) == 10624
+    headers, payloads = _snapshot_layout(blob)
+    floats = [start for values in payloads for start in values[::4]]
+    offsets = headers + [start + b for start in floats[::23] for b in range(4)]
+    target = init_params(tiny_cfg, seed=0)
+    failures = []
+    for case in corruptions(path, offsets):
+        try:
+            target.load_values(load_snapshot(path), dtype=tiny_cfg.np_dtype)
+        except DataFormatError:
+            pass
+        except Exception as exc:  # any other exception is a failure
+            failures.append(f"{case}: {exc!r}")
+    assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("case", ["cut_header", "cut_values", "bad_magic", "bad_version",
+                                  "trailing_data"])
+def test_snapshot_framing_errors_name_kind_and_place(tmp_path, tiny_cfg, case):
+    path = tmp_path / "m.bin"
+    save_snapshot(path, init_params(tiny_cfg, seed=0))
+    good = path.read_bytes()
+    last = _snapshot_layout(good)[1][-1].start
+    kind, bad, message = {
+        "cut_header": ("snapshot_truncated", good[:3], "snapshot truncated at byte 0"),
+        "cut_values": ("snapshot_truncated", good[:-1], f"snapshot truncated at byte {last}"),
+        "bad_magic": ("snapshot_bad_magic", b"LDSX" + good[4:], "bad snapshot magic b'LDSX'"),
+        "bad_version": ("snapshot_bad_version", good[:4] + struct.pack("<H", 2) + good[6:],
+                        "unsupported snapshot version 2"),
+        "trailing_data": ("snapshot_trailing_data", good + bytes(3), "3 trailing bytes"),
+    }[case]
+    path.write_bytes(bad)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$") as exc:
+        load_snapshot(path)
+    assert exc.value.kind == kind
 
 
 # ---------------------------------------------------------------------------
