@@ -1,6 +1,7 @@
 """Model configuration and the one strict reader for every config file."""
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -121,12 +122,27 @@ class ModelConfig:
             raise ConfigError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
 
 
+@functools.cache
+def _schema(cls) -> tuple[dict, frozenset]:
+    """A config dataclass's field annotations and its required field names."""
+    required = frozenset(f.name for f in fields(cls)
+                         if f.default is MISSING and f.default_factory is MISSING)
+    return typing.get_type_hints(cls), required
+
+
+@functools.cache
+def _nesting(tp) -> tuple[bool, object]:
+    """(whether tp is a config dataclass, the X of tuple[X, ...] or None)."""
+    return is_dataclass(tp), typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else None
+
+
 def _read(tp, value, path: str):
     """Check one JSON value against a field annotation; ints widen to floats."""
-    if is_dataclass(tp):
+    dataclass_type, element = _nesting(tp)
+    if dataclass_type:
         return from_dict(tp, value, path)
-    if typing.get_origin(tp) is tuple and isinstance(value, (list, tuple)):
-        return tuple(_read(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if element is not None and isinstance(value, (list, tuple)):
+        return tuple(_read(element, v, f"{path}[{i}]") for i, v in enumerate(value))
     if tp is float and type(value) is int:
         return float(value)
     if type(value) is not tp or tp is float and not math.isfinite(value):
@@ -148,9 +164,8 @@ def from_dict(cls, raw, where: str = "", **overrides):
     if not isinstance(raw, dict):
         raise ConfigError(f"{where or 'config'} must be object, got {raw!r}")
     prefix = f"{where}." if where else ""
-    merged, hints = {**raw, **overrides}, typing.get_type_hints(cls)
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
+    merged = {**raw, **overrides}
+    hints, required = _schema(cls)
     for problem, keys in (("unknown", set(merged) - set(hints)),
                           ("missing required", required - set(merged))):
         if keys:

@@ -127,6 +127,8 @@ def primitive_cases(seed: int) -> list[tuple[str, Callable, list[Tensor]]]:
 
     labels = np.array([0, 2, 1, 0])
     ce_w = np.array([1.0, 0.5, 1.5])
+    running = BatchNormState(4, np.float64)
+    running.mean, running.var = np.linspace(-0.5, 0.7, 4), np.linspace(0.6, 1.8, 4)
 
     return [
         ("add", lambda ts: tz.reduce_sum(tz.add(ts[0], ts[1])), [t(3, 4), t(4)]),
@@ -146,8 +148,13 @@ def primitive_cases(seed: int) -> list[tuple[str, Callable, list[Tensor]]]:
          [t(4, 3), t(3), t(3), t(4, 3)]),
         ("conv1d", lambda ts: tz.reduce_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=2)),
          [t(2, 3, 8), t(4, 3, 3), t(4)]),
-        ("conv1d_pointwise", lambda ts: tz.reduce_sum(tz.conv1d_pointwise(ts[0], ts[1], ts[2])),
-         [t(2, 3, 5), t(4, 3), t(4)]),
+        # the pointwise stage carries its batchnorm: train mode on batch
+        # statistics, eval mode on running buffers away from their start
+        ("conv1d_pointwise", lambda ts: tz.reduce_sum(tz.mul(tz.conv1d_pointwise(
+            *ts[:5], BatchNormState(4, np.float64), True), ts[5])),
+         [t(2, 3, 5), t(4, 3), t(4), t(4), t(4), t(2, 4, 5)]),
+        ("conv1d_pointwise_eval", lambda ts: tz.reduce_sum(tz.conv1d_pointwise(
+            *ts, running, False)), [t(2, 3, 5), t(4, 3), t(4), t(4), t(4)]),
         ("conv1d_depthwise", lambda ts: tz.reduce_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
          [t(2, 3, 8), t(3, 3), t(3)]),
         ("avgpool1d", lambda ts: tz.reduce_sum(tz.avgpool1d(ts[0], 4)), [t(2, 3, 9)]),

@@ -25,12 +25,11 @@ BLOCK_BYTES = 640 * 1024
 
 
 def temporal_tokenize(x: Tensor, params: ParamSet, cfg: ModelConfig, training: bool) -> Tensor:
-    """[B, C, T] -> [B, P, D]: pointwise mix, batchnorm, depthwise conv, GELU, pool."""
+    """[B, C, T] -> [B, P, D]: pointwise mix with batchnorm folded in, depthwise conv, GELU, pool."""
     y = tz.conv1d_pointwise(
-        x, params["temporal_tokenizer.pointwise.weight"], params["temporal_tokenizer.pointwise.bias"]
-    )
-    y = tz.batchnorm(
-        y,
+        x,
+        params["temporal_tokenizer.pointwise.weight"],
+        params["temporal_tokenizer.pointwise.bias"],
         params["temporal_tokenizer.norm.gain"],
         params["temporal_tokenizer.norm.bias"],
         params.states["temporal_tokenizer.norm"],

@@ -18,7 +18,8 @@ Primitives never write into an input's array. Parameters are the exception
 to immutability: ``Adam.step`` rebinds ``.data`` on the live parameter
 Tensors, the same objects the gradient map is keyed by. Rules therefore
 capture a parameter's array when they are recorded. BatchNormState is the
-other mutable state, updated explicitly by train-mode batchnorm.
+other mutable state, updated explicitly by train-mode batchnorm and by the
+train-mode pointwise stage, which carries its own batchnorm.
 
 All primitives raise NumericError on a non-finite output, naming a non-finite
 input as the cause when there is one; backward checks every input gradient
@@ -569,8 +570,21 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int) -> Tensor:
     return _record("conv1d", out, (x, w, b), back)
 
 
-def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """1x1 channel-mixing convolution: [N, Cin, T] x [Cout, Cin] + b [Cout] -> [N, Cout, T]."""
+def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
+                     state: BatchNormState, training: bool) -> Tensor:
+    """1x1 channel mix and its batchnorm as one stage: [N, Cin, T] -> [N, Cout, T].
+
+    The output is batchnorm(w @ x + b, gain, bias, state, training) over the
+    Cout features (see batchnorm), computed without that [N, Cout, T]
+    intermediate. Batchnorm is an affine map per feature, so it folds into
+    the mix: with a = gain / sqrt(var + NORM_EPS), the output is one matmul of
+    a * w against the input, plus a bias. In train mode the batch statistics
+    come from the input's Cin x Cin moments: with m the mean and S the centred
+    covariance of x over N and T, feature d has mean w_d . m + b_d and
+    variance w_d . S . w_d. There b cancels, so its gradient is exactly zero.
+    The running buffers are updated only once the output has passed the
+    finiteness check.
+    """
     if x.ndim != 3 or w.ndim != 2:
         raise ShapeError(f"pointwise needs [N, Cin, T] input and a [Cout, Cin] kernel, "
                          f"got {x.shape} and {w.shape}")
@@ -579,14 +593,61 @@ def conv1d_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"pointwise: input channels {x.shape[1]} != kernel Cin {cin}")
     if b.shape != (cout,):
         raise ShapeError(f"pointwise bias shape {b.shape} != ({cout},)")
-    xd, wd, needs_dx = x.data, w.data, x.requires_grad
-    out = np.matmul(wd, xd) + b.data[:, None]
+    if gain.shape != (cout,) or bias.shape != (cout,) or state.mean.shape != (cout,):
+        raise ShapeError(f"pointwise batchnorm shapes {gain.shape}/{bias.shape}/"
+                         f"{state.mean.shape} do not match Cout={cout}")
+    xd, wd, bd, needs_dx = x.data, w.data, b.data, x.requires_grad
+    n, _, t = x.shape
+    n_red = n * t
+    # the rule reads x_s and offset: the centred feature d is w_d . x_s + offset_d
+    if training:
+        if n < 2:
+            raise ShapeError("conv1d_pointwise: train mode needs batch size >= 2")
+        # a non-finite input makes inf - inf here: NaN without a warning, so
+        # that the output check below names the input
+        with np.errstate(invalid="ignore"):
+            m = np.einsum("nct->c", xd) / n_red
+            xs = xd - m[:, None]
+            cov = np.add.reduce(xs @ xs.transpose(0, 2, 1), axis=0) / n_red
+            wcov = wd @ cov
+            mu = wd @ m + bd
+            # w_d . S . w_d is >= 0, but rounding can take it below zero when S
+            # is singular (linearly dependent channels): clamp it there
+            var = np.maximum(np.einsum("dc,dc->d", wcov, wd), 0.0)
+        offset = np.zeros_like(mu)
+    else:
+        xs, var, wcov = xd, state.var, None  # wcov serves only the batch statistics
+        offset = bd - state.mean
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    a = gain.data * inv
+    wf = a[:, None] * wd  # the folded weights
+    out = np.matmul(wf, xs)
+    out += (a * offset + bias.data)[:, None]
 
     def back(g):
-        dw = np.tensordot(g, xd, axes=([0, 2], [0, 2]))
-        return np.matmul(wd.T, g) if needs_dx else None, dw, g.sum(axis=(0, 2))
+        s = np.einsum("ndt->d", g)
+        p = np.add.reduce(g @ xs.transpose(0, 2, 1), axis=0)  # sum of g x_s^T: [Cout, Cin]
+        dgain = inv * (np.einsum("dc,dc->d", p, wd) + offset * s)
+        if training:
+            dw = a[:, None] * (p - (dgain * inv)[:, None] * wcov)
+            db = np.zeros_like(bd)
+        else:
+            dw = a[:, None] * p
+            db = a * s
+        dx = None
+        if needs_dx:
+            dx = np.matmul(wf.T, g)
+            if training:  # the batch statistics' share of the input gradient
+                mix = wd.T @ ((a * inv * dgain / n_red)[:, None] * wd)  # [Cin, Cin]
+                dx -= np.matmul(mix, xs)
+                dx -= (wf.T @ s / n_red)[:, None]
+        return dx, dw, db, dgain, s
 
-    return _record("conv1d_pointwise", out, (x, w, b), back)
+    result = _record("conv1d_pointwise", out, (x, w, b, gain, bias), back)
+    if training:
+        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+    return result
 
 
 _BLOCK = 32  # L, the output samples per block of the banded depthwise matmul
@@ -675,9 +736,13 @@ def avgpool1d(x: Tensor, window: int) -> Tensor:
     shape, p = x.shape, t // window
     out = x.data[..., : p * window].reshape(*shape[:-1], p, window).sum(-1) / window
 
-    def back(g):  # added into zeros, so a -0.0 in g leaves +0.0 in dx
-        dx = np.zeros(shape, dtype=g.dtype)
-        dx[..., : p * window] += np.repeat(g / window, window, axis=-1)
+    def back(g):
+        # one pass: each window's share is broadcast into the covered prefix (a
+        # view, since only the last axis splits), zeros into the tail; the
+        # + 0.0 turns a -0.0 in g into +0.0, as adding into zeros would
+        dx = np.empty(shape, dtype=g.dtype)
+        dx[..., : p * window].reshape(*shape[:-1], p, window)[...] = (g / window + 0.0)[..., None]
+        dx[..., p * window :] = 0.0
         return (dx,)
 
     return _record("avgpool1d", out, (x,), back)

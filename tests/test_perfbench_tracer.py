@@ -58,6 +58,10 @@ def test_tracer_metrics_cover_the_benchmark_and_uninstall_cleanly(tiny_cfg):
     assert set(metrics) | set(RUN_METRICS) == per_layer
     for name in ("temporal_tokenize", "spatial_tokenize"):
         assert metrics[f"network.{name}.calls"] > 0
+    # conv1d_pointwise times the temporal tokenizer's folded mix and batchnorm,
+    # batchnorm the spatial tokenizer's: both names still measure a step
+    for op in ("conv1d_pointwise", "batchnorm"):
+        assert metrics[f"tensor.{op}.calls"] > 0 and metrics[f"tensor.{op}.bwd_s"] > 0, op
     assert metrics["network.forward.gflops_per_s"] > 0
     assert patched
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)

@@ -222,11 +222,26 @@ def test_conv1d_depthwise_forward_oracle():
     assert np.allclose(out.data, expected, atol=1e-13)
 
 
-def test_conv1d_pointwise_forward_oracle():
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_conv1d_pointwise_forward_oracle(training):
+    # the stage is the 1x1 mix followed by batchnorm over its output features
     x, w, b = rnd(2, 3, 5, seed=17), rnd(4, 3, seed=18), rnd(4, seed=19)
-    expected = np.einsum("oc,nct->not", w, x) + b[None, :, None]
-    out = tz.conv1d_pointwise(Tensor(x), Tensor(w), Tensor(b))
+    gain, bias = rnd(4, seed=30), rnd(4, seed=31)
+    state = BatchNormState(4, np.float64)
+    state.mean, state.var = rnd(4, seed=32), 1.0 + rnd(4, seed=33) ** 2
+    y = np.einsum("oc,nct->not", w, x) + b[None, :, None]
+    mu, var = (y.mean(axis=(0, 2)), y.var(axis=(0, 2))) if training else (state.mean, state.var)
+    expected = ((y - mu[:, None]) / np.sqrt(var + 1e-5)[:, None]) * gain[:, None] + bias[:, None]
+    new_mean, new_var = 0.9 * state.mean + 0.1 * mu, 0.9 * state.var + 0.1 * var
+    old_mean, old_var = state.mean, state.var
+    out = tz.conv1d_pointwise(Tensor(x), Tensor(w), Tensor(b), Tensor(gain), Tensor(bias),
+                              state, training)
     assert np.allclose(out.data, expected, atol=1e-13)
+    if training:
+        assert np.allclose(state.mean, new_mean, atol=1e-15)
+        assert np.allclose(state.var, new_var, atol=1e-15)
+    else:
+        assert state.mean is old_mean and state.var is old_var
 
 
 def test_avgpool1d_forward_oracle():
@@ -354,10 +369,18 @@ def weighted_sum(y: Tensor) -> Tensor:
     return tz.reduce_sum(tz.mul(y, Tensor(weight)))
 
 
+def _running_state(n_features: int, dtype) -> BatchNormState:
+    """Running buffers away from their (0, 1) start, for eval-mode stages."""
+    state = BatchNormState(n_features, dtype)
+    state.mean = np.linspace(-0.5, 0.7, n_features).astype(dtype)
+    state.var = np.linspace(0.6, 1.8, n_features).astype(dtype)
+    return state
+
+
 @pytest.mark.parametrize("name", [
     "add", "mul", "scale", "matmul", "gelu", "cosine", "softmax",
     "l2norm", "layernorm", "reduce_sum", "reduce_mean", "reshape", "swapaxes",
-    "concat", "avgpool", "conv1d", "conv_pointwise", "conv_depthwise",
+    "concat", "avgpool", "conv1d", "conv_pointwise", "conv_pointwise_eval", "conv_depthwise",
     "conv1d_tokenizer", "conv_depthwise_long_kernel", "avgpool_tiled", "avgpool_tail",
 ])
 def test_primitive_gradients(name):
@@ -391,8 +414,13 @@ def test_primitive_gradients(name):
         "avgpool": (lambda ts: weighted_sum(tz.avgpool1d(ts[0], 3)), [t(2, 2, 9)]),
         "conv1d": (lambda ts: weighted_sum(tz.conv1d(ts[0], ts[1], ts[2], stride=3)),
                    [t(2, 3, 11), t(2, 3, 5), t(2)]),
-        "conv_pointwise": (lambda ts: weighted_sum(tz.conv1d_pointwise(ts[0], ts[1], ts[2])),
-                           [t(2, 3, 4), t(5, 3), t(5)]),
+        # the folded stage in train mode: its batch statistics differentiate too
+        "conv_pointwise": (lambda ts: weighted_sum(tz.conv1d_pointwise(
+            *ts, BatchNormState(5, np.float64), True)),
+                           [t(2, 3, 4), t(5, 3), t(5), t(5), t(5)]),
+        "conv_pointwise_eval": (lambda ts: weighted_sum(tz.conv1d_pointwise(
+            *ts, _running_state(5, np.float64), False)),
+                                [t(2, 3, 4), t(5, 3), t(5), t(5), t(5)]),
         "conv_depthwise": (lambda ts: weighted_sum(tz.conv1d_depthwise(ts[0], ts[1], ts[2])),
                            [t(2, 4, 7), t(4, 3), t(4)]),
         # tokenizer shapes: one input channel at a wide stride, a kernel longer
@@ -407,6 +435,20 @@ def test_primitive_gradients(name):
     }
     fn, inputs = cases[name]
     assert grad_check(fn, inputs) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_avgpool_backward_is_the_window_share_with_no_negative_zero(dtype):
+    # each window's g / window over its samples, +0.0 on the dropped tail, and
+    # +0.0 where g holds -0.0, bit for bit what adding the shares into zeros gives
+    g = np.array([[1.5, -0.0, -3.0], [0.0, -0.0, 2.25]], dtype=dtype)
+    with Tape() as tape:
+        tz.avgpool1d(Tensor(np.ones((2, 14), dtype=dtype), requires_grad=True), 4)
+    (dx,) = tape.entries[0].backward(g)
+    expected = np.zeros((2, 14), dtype=dtype)
+    expected[:, :12] += np.repeat(g / 4, 4, axis=-1)
+    assert dx.dtype == dtype and _bits_equal(dx, expected)
+    assert np.signbit(dx).sum() == 4  # only the -3.0 window's samples are negative
 
 
 def test_relu_gradient_away_from_kink():
@@ -623,6 +665,117 @@ def test_no_tape_means_no_recording():
 
 
 # ---------------------------------------------------------------------------
+# the folded pointwise + batchnorm stage
+
+
+def _pointwise_then_batchnorm(ts, state, training):
+    """The oracle: the 1x1 mix W @ x + b as a plain matmul, fed to tz.batchnorm."""
+    x, w, b, gain, bias = ts
+    y = tz.add(tz.matmul(w, x), tz.reshape(b, (b.shape[0], 1)))
+    return tz.batchnorm(y, gain, bias, state, training)
+
+
+def _folded(ts, state, training):
+    return tz.conv1d_pointwise(*ts, state, training)
+
+
+FOLD_INPUTS = ["random", "duplicated_channel", "constant_channel", "zero_variance_feature"]
+
+
+def _fold_inputs(kind: str, dtype) -> list[np.ndarray]:
+    """(x, w, b, gain, bias); the last three kinds give a singular input covariance
+    or a feature whose batch variance is zero."""
+    r = RngStream(47, 230)
+    # per-channel offsets, so the stage must centre its input
+    x = r.normal(0.0, 1.0, (4, 5, 16)) + r.normal(0.0, 2.0, (1, 5, 1))
+    w, b = r.normal(0.0, 1.0, (6, 5)), r.normal(0.0, 1.0, (6,))
+    gain, bias = r.normal(1.0, 0.3, (6,)), r.normal(0.0, 1.0, (6,))
+    if kind == "duplicated_channel":
+        x[:, 1] = x[:, 0]
+        w[0] = [1.0, -1.0, 0.0, 0.0, 0.0]  # feature 0 is x0 - x1, exactly zero
+    elif kind == "constant_channel":
+        x[:, 2] = 0.7
+        w[0] = [0.0, 0.0, 1.3, 0.0, 0.0]  # feature 0 reads only the constant channel
+    elif kind == "zero_variance_feature":
+        w[0] = 0.0  # feature 0 is its bias alone
+    return [a.astype(dtype) for a in (x, w, b, gain, bias)]
+
+
+def _run_stage(stage, arrays, training, dtype):
+    """Output, running buffers and the five gradients of one taped call."""
+    state = _running_state(6, dtype)
+    upstream = RngStream(48, 231).normal(0.0, 1.0, (4, 6, 16)).astype(dtype)
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = stage(ts, state, training)
+        grads = backward(tz.reduce_sum(tz.mul(out, Tensor(upstream))), tape)
+    return {"out": out.data, "running_mean": state.mean, "running_var": state.var,
+            **{f"d{name}": grads[t] for name, t in zip(("x", "w", "b", "gain", "bias"), ts)}}
+
+
+# float64 agrees to rounding; float32 rounding is amplified up to
+# 1/sqrt(NORM_EPS) (316x) on the zero-variance features
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-5)],
+                         ids=["f64", "f32"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("kind", FOLD_INPUTS)
+def test_folded_stage_matches_pointwise_then_batchnorm(kind, training, dtype, tol):
+    arrays = _fold_inputs(kind, dtype)
+    got = _run_stage(_folded, arrays, training, dtype)
+    want = _run_stage(_pointwise_then_batchnorm, arrays, training, dtype)
+    for name, value in got.items():
+        assert value.dtype == dtype and value.shape == want[name].shape, name
+        if training and name == "db":
+            # b cancels out of batchnorm: the fold's gradient is exactly zero, and
+            # the oracle's is rounding, small against the output bias's gradient
+            assert not value.any()
+            assert np.abs(want[name]).max() <= tol * np.abs(want["dbias"]).max()
+            continue
+        scale = np.abs(want[name]).max()
+        assert np.abs(value - want[name]).max() <= tol * scale, (name, scale)
+
+
+def test_folded_batch_variance_is_clamped_at_zero():
+    """x2 = x0 + x1 at a large scale: w_0 = (1, 1, -1) has zero variance, but
+    rounding in S can put w_0 . S . w_0 below -NORM_EPS, where an unclamped
+    sqrt would be NaN. Over these draws it does so on about half."""
+    for seed in range(8):
+        r = RngStream(seed, 232)
+        x = r.normal(0.0, 1e6, (4, 5, 16))
+        x[:, 2] = x[:, 0] + x[:, 1]
+        w = r.normal(0.0, 1.0, (6, 5))
+        w[0] = [1.0, 1.0, -1.0, 0.0, 0.0]
+        arrays = [x, w, r.normal(0.0, 1.0, (6,)), np.ones(6), np.zeros(6)]
+        state = BatchNormState(6, np.float64)
+        out = tz.conv1d_pointwise(*map(Tensor, arrays), state, True).data
+        oracle = _pointwise_then_batchnorm(list(map(Tensor, arrays)),
+                                           BatchNormState(6, np.float64), True).data
+        assert state.var[0] >= 0.9, seed  # 0.9 * 1 + 0.1 * (a batch variance >= 0)
+        assert np.abs(out[:, 1:] - oracle[:, 1:]).max() <= 1e-12 * np.abs(oracle).max(), seed
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_taped_folded_stage_keeps_no_normalized_copy(training):
+    """The rule keeps the input (centred in train mode) and [Cout, Cin]
+    arrays, never a normalized [N, Cout, T] activation: at the tokenizer's
+    40 features from 8 channels the tape holds a fifth of one output."""
+    x = Tensor(rnd(16, 8, 512, seed=65))
+    params = [Tensor(a, requires_grad=True) for a in
+              (rnd(40, 8, seed=66), rnd(40, seed=67), rnd(40, seed=68), rnd(40, seed=69))]
+    state = BatchNormState(40, np.float64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = tz.conv1d_pointwise(x, *params, state, training)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape.entries) == 1 and tape.entries[0].op == "conv1d_pointwise"
+    assert held < 0.3 * out.data.nbytes, held / out.data.nbytes
+
+
+# ---------------------------------------------------------------------------
 # error paths
 
 
@@ -648,11 +801,18 @@ def test_backward_rejects_loss_from_other_tape():
             backward(loss, tape2)
 
 
-def test_nonfinite_input_is_named_as_the_cause():
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_input_is_named_as_the_cause(bad, training):
     x = rnd(2, 3, 5, seed=47)
-    x[1, 2, 3] = np.nan
+    x[1, 2, 3] = bad
+    state = BatchNormState(4, np.float64)
+    mean, var = state.mean, state.var
     with pytest.raises(NumericError, match="conv1d_pointwise: non-finite input$"):
-        tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)), Tensor(np.zeros(4)))
+        tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)), Tensor(np.zeros(4)),
+                            Tensor(np.ones(4)), Tensor(np.zeros(4)), state, training)
+    # a failed train step leaves the running buffers as they were
+    assert state.mean is mean and state.var is var
 
 
 def test_overflow_from_finite_inputs_is_named():
@@ -700,11 +860,32 @@ def test_tensor_promotes_non_float_dtypes_to_f64():
 @pytest.mark.parametrize("op", ["conv1d", "conv1d_pointwise", "conv1d_depthwise"])
 def test_conv_rejects_input_that_is_not_3d(op):
     x = Tensor(np.ones((3, 8)))
-    w, b, stride = {"conv1d": ((4, 3, 3), 4, (1,)), "conv1d_pointwise": ((4, 3), 4, ()),
-                    "conv1d_depthwise": ((3, 3), 3, ())}[op]
+    norm = (Tensor(np.ones(4)), Tensor(np.zeros(4)), BatchNormState(4, np.float64), True)
+    w, b, rest = {"conv1d": ((4, 3, 3), 4, (1,)), "conv1d_pointwise": ((4, 3), 4, norm),
+                  "conv1d_depthwise": ((3, 3), 3, ())}[op]
     with pytest.raises(ShapeError) as err:
-        getattr(tz, op)(x, Tensor(np.ones(w)), Tensor(np.zeros(b)), *stride)
+        getattr(tz, op)(x, Tensor(np.ones(w)), Tensor(np.zeros(b)), *rest)
     assert "(3, 8)" in str(err.value) and str(w) in str(err.value)
+
+
+BAD_POINTWISE_SHAPES = {"channels": {"x": (2, 2, 5)}, "bias": {"b": (5,)}, "gain": {"gain": (3,)},
+                        "norm_bias": {"bias": (4, 1)}, "state": {"state": 5}}
+
+
+@pytest.mark.parametrize("case", list(BAD_POINTWISE_SHAPES))
+def test_pointwise_rejects_mismatched_shapes(case):
+    shapes = {"x": (2, 3, 5), "w": (4, 3), "b": (4,), "gain": (4,), "bias": (4,), "state": 4,
+              **BAD_POINTWISE_SHAPES[case]}
+    state = BatchNormState(shapes.pop("state"), np.float64)
+    with pytest.raises(ShapeError, match="pointwise"):
+        tz.conv1d_pointwise(*(Tensor(np.ones(shape)) for shape in shapes.values()), state, False)
+
+
+def test_pointwise_train_rejects_batch_of_one():
+    state = BatchNormState(4, np.float64)
+    with pytest.raises(ShapeError, match="train mode needs batch size >= 2$"):
+        tz.conv1d_pointwise(Tensor(rnd(1, 3, 5)), Tensor(rnd(4, 3)), Tensor(np.zeros(4)),
+                            Tensor(np.ones(4)), Tensor(np.zeros(4)), state, True)
 
 
 def test_concat_rejects_mismatched_shapes():
@@ -880,8 +1061,12 @@ def _float32_cases():
     return {
         "conv1d": (lambda ts: tz.conv1d(ts[0], ts[1], ts[2], stride=4),
                    [t(3, 1, 37), t(4, 1, 7), t(4)]),
-        "conv_pointwise": (lambda ts: tz.conv1d_pointwise(ts[0], ts[1], ts[2]),
-                           [t(3, 4, 20), t(5, 4), t(5)]),
+        "conv_pointwise": (lambda ts: tz.conv1d_pointwise(*ts, BatchNormState(5, np.float32),
+                                                          True),
+                           [t(3, 4, 20), t(5, 4), t(5), t(5), t(5)]),
+        "conv_pointwise_eval": (lambda ts: tz.conv1d_pointwise(*ts, _running_state(5, np.float32),
+                                                               False),
+                                [t(3, 4, 20), t(5, 4), t(5), t(5), t(5)]),
         "conv_depthwise": (lambda ts: tz.conv1d_depthwise(ts[0], ts[1], ts[2]),
                            [t(3, 4, 20), t(4, 9), t(4)]),
         "avgpool": (lambda ts: tz.avgpool1d(ts[0], 5), [t(3, 4, 20)]),
@@ -892,7 +1077,8 @@ def _float32_cases():
     }
 
 
-FLOAT32_KERNELS = ["conv1d", "conv_pointwise", "conv_depthwise", "avgpool", "batchnorm", "gelu"]
+FLOAT32_KERNELS = ["conv1d", "conv_pointwise", "conv_pointwise_eval", "conv_depthwise", "avgpool",
+                   "batchnorm", "gelu"]
 
 
 @pytest.mark.parametrize("name", FLOAT32_KERNELS)
