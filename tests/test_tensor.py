@@ -222,26 +222,29 @@ def test_conv1d_depthwise_forward_oracle():
     assert np.allclose(out.data, expected, atol=1e-13)
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_conv1d_pointwise_forward_oracle(training):
-    # the stage is the 1x1 mix followed by batchnorm over its output features
+def test_conv1d_pointwise_forward_oracle():
+    # the stage is the 1x1 mix followed by batchnorm over its output features;
+    # train mode uses and updates the batch statistics, eval the running ones
     x, w, b = rnd(2, 3, 5, seed=17), rnd(4, 3, seed=18), rnd(4, seed=19)
     gain, bias = rnd(4, seed=30), rnd(4, seed=31)
-    state = BatchNormState(4, np.float64)
-    state.mean, state.var = rnd(4, seed=32), 1.0 + rnd(4, seed=33) ** 2
     y = np.einsum("oc,nct->not", w, x) + b[None, :, None]
-    mu, var = (y.mean(axis=(0, 2)), y.var(axis=(0, 2))) if training else (state.mean, state.var)
-    expected = ((y - mu[:, None]) / np.sqrt(var + 1e-5)[:, None]) * gain[:, None] + bias[:, None]
-    new_mean, new_var = 0.9 * state.mean + 0.1 * mu, 0.9 * state.var + 0.1 * var
-    old_mean, old_var = state.mean, state.var
-    out = tz.conv1d_pointwise(Tensor(x), Tensor(w), Tensor(b), Tensor(gain), Tensor(bias),
-                              state, training)
-    assert np.allclose(out.data, expected, atol=1e-13)
-    if training:
-        assert np.allclose(state.mean, new_mean, atol=1e-15)
-        assert np.allclose(state.var, new_var, atol=1e-15)
-    else:
-        assert state.mean is old_mean and state.var is old_var
+    for training in (True, False):
+        state = BatchNormState(4, np.float64)
+        state.mean, state.var = rnd(4, seed=32), 1.0 + rnd(4, seed=33) ** 2
+        mu, var = ((y.mean(axis=(0, 2)), y.var(axis=(0, 2))) if training
+                   else (state.mean, state.var))
+        expected = (((y - mu[:, None]) / np.sqrt(var + 1e-5)[:, None]) * gain[:, None]
+                    + bias[:, None])
+        new_mean, new_var = 0.9 * state.mean + 0.1 * mu, 0.9 * state.var + 0.1 * var
+        old_mean, old_var = state.mean, state.var
+        out = tz.conv1d_pointwise(Tensor(x), Tensor(w), Tensor(b), Tensor(gain), Tensor(bias),
+                                  state, training)
+        assert np.allclose(out.data, expected, atol=1e-13), training
+        if training:
+            assert np.allclose(state.mean, new_mean, atol=1e-15)
+            assert np.allclose(state.var, new_var, atol=1e-15)
+        else:
+            assert state.mean is old_mean and state.var is old_var
 
 
 def test_avgpool1d_forward_oracle():
@@ -801,18 +804,18 @@ def test_backward_rejects_loss_from_other_tape():
             backward(loss, tape2)
 
 
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_nonfinite_input_is_named_as_the_cause(bad, training):
-    x = rnd(2, 3, 5, seed=47)
-    x[1, 2, 3] = bad
-    state = BatchNormState(4, np.float64)
-    mean, var = state.mean, state.var
-    with pytest.raises(NumericError, match="conv1d_pointwise: non-finite input$"):
-        tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)), Tensor(np.zeros(4)),
-                            Tensor(np.ones(4)), Tensor(np.zeros(4)), state, training)
-    # a failed train step leaves the running buffers as they were
-    assert state.mean is mean and state.var is var
+def test_nonfinite_input_is_named_as_the_cause():
+    for bad in (np.nan, np.inf, -np.inf):
+        for training in (True, False):
+            x = rnd(2, 3, 5, seed=47)
+            x[1, 2, 3] = bad
+            state = BatchNormState(4, np.float64)
+            mean, var = state.mean, state.var
+            with pytest.raises(NumericError, match="conv1d_pointwise: non-finite input$"):
+                tz.conv1d_pointwise(Tensor(x), Tensor(rnd(4, 3, seed=48)), Tensor(np.zeros(4)),
+                                    Tensor(np.ones(4)), Tensor(np.zeros(4)), state, training)
+            # a failed train step leaves the running buffers as they were
+            assert state.mean is mean and state.var is var
 
 
 def test_overflow_from_finite_inputs_is_named():
